@@ -62,18 +62,20 @@ func MustGeometry(capacityBytes, ways, lineBytes int) Geometry {
 // invalidTag marks an invalid way in the tag array. Tag matching is the
 // hottest loop in the simulator, so invalid ways carry a sentinel tag no
 // real block can produce (block addresses are bounded far below 2^64 by
-// the workload address-space layout) and the match loops skip the valid
-// check entirely.
+// the workload address-space layout): the match loops need no separate
+// valid check, and the sentinel is the only record of validity.
 const invalidTag = ^uint64(0)
 
 // Array is a set-associative array whose lines carry a payload of type T.
 // The zero value is not usable; construct with New.
+//
+// Per-line metadata is allocated for the array's own policy only: use
+// stamps and demotion marks under LRU, reference bits under NRU.
 type Array[T any] struct {
 	geo      Geometry
 	policy   Policy
-	tagShift uint8 // log2(Sets); Tag is a shift, not a division
-	tags     []uint64
-	valid    []bool
+	tagShift uint8    // log2(Sets); Tag is a shift, not a division
+	tags     []uint64 // invalidTag marks an invalid way
 	use      []uint64 // LRU stamps
 	ref      []bool   // NRU reference bits
 	demo     []bool   // LRU demotion marks (preferred victims)
@@ -95,12 +97,15 @@ func New[T any](geo Geometry, policy Policy) *Array[T] {
 		policy:   policy,
 		tagShift: uint8(bits.TrailingZeros64(uint64(geo.Sets))),
 		tags:     make([]uint64, n),
-		valid:    make([]bool, n),
-		use:      make([]uint64, n),
-		ref:      make([]bool, n),
-		demo:     make([]bool, n),
 		data:     make([]T, n),
 		live:     make([]int16, geo.Sets),
+	}
+	switch policy {
+	case LRU:
+		a.use = make([]uint64, n)
+		a.demo = make([]bool, n)
+	case NRU:
+		a.ref = make([]bool, n)
 	}
 	for i := range a.tags {
 		a.tags[i] = invalidTag
@@ -231,12 +236,8 @@ func (a *Array[T]) FreeWay(set int) (way int, ok bool) {
 	if int(a.live[set]) == a.geo.Ways {
 		return -1, false
 	}
-	base := set * a.geo.Ways
-	valid := a.valid[base : base+a.geo.Ways]
-	for w := range valid {
-		if !valid[w] {
-			return w, true
-		}
+	if w := a.FindWay(set, invalidTag); w >= 0 {
+		return w, true
 	}
 	return -1, false
 }
@@ -249,14 +250,14 @@ func (a *Array[T]) Victim(set int) int {
 	if a.policy == LRU {
 		base := set * a.geo.Ways
 		n := a.geo.Ways
-		valid := a.valid[base : base+n]
+		tags := a.tags[base : base+n]
 		use := a.use[base : base+n]
 		demo := a.demo[base : base+n]
 		best := -1
 		bestUse := ^uint64(0)
 		bestDemo := false
 		for w := 0; w < n; w++ {
-			if valid[w] && a.older(demo[w], use[w], bestDemo, bestUse) {
+			if tags[w] != invalidTag && a.older(demo[w], use[w], bestDemo, bestUse) {
 				best, bestUse, bestDemo = w, use[w], demo[w]
 			}
 		}
@@ -294,14 +295,14 @@ func (a *Array[T]) VictimWhere(set int, eligible func(way int, payload *T) bool)
 	switch a.policy {
 	case LRU:
 		n := a.geo.Ways
-		valid := a.valid[base : base+n]
+		tags := a.tags[base : base+n]
 		use := a.use[base : base+n]
 		demo := a.demo[base : base+n]
 		best := -1
 		bestUse := ^uint64(0)
 		bestDemo := false
 		for w := 0; w < n; w++ {
-			if valid[w] && eligible(w, &a.data[base+w]) && a.older(demo[w], use[w], bestDemo, bestUse) {
+			if tags[w] != invalidTag && eligible(w, &a.data[base+w]) && a.older(demo[w], use[w], bestDemo, bestUse) {
 				best, bestUse, bestDemo = w, use[w], demo[w]
 			}
 		}
@@ -311,7 +312,7 @@ func (a *Array[T]) VictimWhere(set int, eligible func(way int, payload *T) bool)
 		for pass := 0; pass < 2; pass++ {
 			for w := 0; w < a.geo.Ways; w++ {
 				i := base + w
-				if !a.valid[i] || !eligible(w, &a.data[i]) {
+				if a.tags[i] == invalidTag || !eligible(w, &a.data[i]) {
 					continue
 				}
 				any = true
@@ -325,7 +326,7 @@ func (a *Array[T]) VictimWhere(set int, eligible func(way int, payload *T) bool)
 			// All eligible ways referenced: clear and rescan.
 			for w := 0; w < a.geo.Ways; w++ {
 				i := base + w
-				if a.valid[i] && eligible(w, &a.data[i]) {
+				if a.tags[i] != invalidTag && eligible(w, &a.data[i]) {
 					a.ref[i] = false
 				}
 			}
@@ -339,11 +340,10 @@ func (a *Array[T]) VictimWhere(set int, eligible func(way int, payload *T) bool)
 // most recently used. The way may be valid (overwrite) or invalid.
 func (a *Array[T]) Insert(set, way int, blockAddr uint64, payload T) {
 	i := a.idx(set, way)
-	a.tags[i] = a.Tag(blockAddr)
-	if !a.valid[i] {
-		a.valid[i] = true
+	if a.tags[i] == invalidTag {
 		a.live[set]++
 	}
+	a.tags[i] = a.Tag(blockAddr)
 	a.data[i] = payload
 	a.Touch(set, way)
 }
@@ -351,37 +351,29 @@ func (a *Array[T]) Insert(set, way int, blockAddr uint64, payload T) {
 // Invalidate frees (set, way), zeroing its payload.
 func (a *Array[T]) Invalidate(set, way int) {
 	i := a.idx(set, way)
-	if a.valid[i] {
-		a.valid[i] = false
+	if a.tags[i] != invalidTag {
 		a.live[set]--
 	}
 	a.tags[i] = invalidTag
 	var zero T
 	a.data[i] = zero
-	a.use[i] = 0
-	a.ref[i] = false
-	a.demo[i] = false
-}
-
-// Valid reports whether (set, way) holds a line.
-func (a *Array[T]) Valid(set, way int) bool {
-	return a.valid[a.idx(set, way)]
+	switch a.policy {
+	case LRU:
+		a.use[i] = 0
+		a.demo[i] = false
+	case NRU:
+		a.ref[i] = false
+	}
 }
 
 // Payload returns a pointer to the payload at (set, way) for in-place
 // mutation. The way must be valid.
 func (a *Array[T]) Payload(set, way int) *T {
 	i := a.idx(set, way)
-	if !a.valid[i] {
+	if a.tags[i] == invalidTag {
 		panic("cache: Payload of invalid way")
 	}
 	return &a.data[i]
-}
-
-// UseStamp exposes the LRU stamp of (set, way), used by the LLC's
-// extended policies to reason about relative recency.
-func (a *Array[T]) UseStamp(set, way int) uint64 {
-	return a.use[a.idx(set, way)]
 }
 
 // ForEachValid calls fn for every valid line.
@@ -389,7 +381,7 @@ func (a *Array[T]) ForEachValid(fn func(set, way int, blockAddr uint64, payload 
 	for set := 0; set < a.geo.Sets; set++ {
 		base := set * a.geo.Ways
 		for w := 0; w < a.geo.Ways; w++ {
-			if a.valid[base+w] {
+			if a.tags[base+w] != invalidTag {
 				fn(set, w, a.AddrOf(set, w), &a.data[base+w])
 			}
 		}
@@ -399,10 +391,8 @@ func (a *Array[T]) ForEachValid(fn func(set, way int, blockAddr uint64, payload 
 // CountValid returns the number of valid lines.
 func (a *Array[T]) CountValid() int {
 	n := 0
-	for _, v := range a.valid {
-		if v {
-			n++
-		}
+	for _, l := range a.live {
+		n += int(l)
 	}
 	return n
 }
@@ -420,7 +410,7 @@ func (a *Array[T]) AppendState(buf []byte, enc func([]byte, *T) []byte) []byte {
 		base := set * a.geo.Ways
 		for w := 0; w < a.geo.Ways; w++ {
 			i := base + w
-			if !a.valid[i] {
+			if a.tags[i] == invalidTag {
 				continue
 			}
 			buf = append(buf, byte(w))
@@ -463,7 +453,7 @@ func (a *Array[T]) recencyRank(set, way int) int {
 	rank := 0
 	for w := 0; w < a.geo.Ways; w++ {
 		i := base + w
-		if w == way || !a.valid[i] {
+		if w == way || a.tags[i] == invalidTag {
 			continue
 		}
 		if a.demo[i] != selfDemo {

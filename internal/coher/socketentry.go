@@ -1,10 +1,14 @@
 package coher
 
-import "math/bits"
+import (
+	"errors"
+	"fmt"
+	"math/bits"
+)
 
 // SocketSet is a sharer bit-vector over sockets. Socket counts are small
-// (the paper evaluates four; the full-map segment scheme bounds them at
-// ⌊512/(N+1)⌋), so a single word suffices.
+// (the paper evaluates four, the scale frontier sixteen), so a single
+// word suffices; a packed SocketEntry keeps MaxPackedSockets of its bits.
 type SocketSet uint64
 
 // Add inserts socket s.
@@ -98,6 +102,32 @@ func (e SocketEntry) Holders() SocketSet {
 
 // Live reports whether any socket holds a copy.
 func (e SocketEntry) Live() bool { return e.State != SockInvalid }
+
+// MaxPackedSockets is the widest socket count a packed SocketEntry can
+// describe: its 64-bit word spends 2 bits on the state and 6 on the
+// owner, leaving 56 sharer bits.
+const MaxPackedSockets = 56
+
+// ErrTooManySockets refuses a socket count beyond MaxPackedSockets.
+var ErrTooManySockets = errors.New("socket count exceeds the socket-level sharer vector")
+
+// Pack encodes e in one word: bits 0-1 hold the state, bits 2-7 the
+// owner, bits 8-63 the sharer vector. UnpackSocketEntry inverts it
+// exactly, stale fields included. Pack panics on an owner or sharer at
+// or beyond the layout's width; systems with more than MaxPackedSockets
+// sockets are refused at construction, so a live run never trips it.
+func (e SocketEntry) Pack() uint64 {
+	if e.State > SockCorrupted || uint(e.Owner) >= 1<<6 || e.Sharers>>MaxPackedSockets != 0 {
+		panic(fmt.Sprintf("coher: socket entry %+v does not fit the packed layout", e))
+	}
+	return uint64(e.State) | uint64(e.Owner)<<2 | uint64(e.Sharers)<<8
+}
+
+// UnpackSocketEntry decodes a word written by Pack. The zero word is the
+// zero (invalid) entry.
+func UnpackSocketEntry(w uint64) SocketEntry {
+	return SocketEntry{State: SocketState(w & 3), Owner: int(w >> 2 & 63), Sharers: SocketSet(w >> 8)}
+}
 
 // StorageBitsSocket is the home-memory partition size for an evicted
 // socket-level entry in an M-socket system: M sharer bits plus two state

@@ -132,15 +132,21 @@ type Org struct {
 // TotalCores is the system-wide core count.
 func (g Org) TotalCores() int { return g.Sockets * g.Preset.Cores }
 
-// Validate rejects organizations the home-memory segment formats cannot
-// represent (wrapping mem.ErrUnrepresentable) or whose preset fails its
-// own validation.
+// Validate rejects organizations the socket-level sharer vector cannot
+// hold (wrapping coher.ErrTooManySockets, which socket.ErrTooManySockets
+// names too), organizations the home-memory segment formats cannot
+// represent (wrapping mem.ErrUnrepresentable), and those whose preset
+// fails its own validation.
 func (g Org) Validate() error {
 	if err := g.Preset.Validate(); err != nil {
 		return err
 	}
 	if g.Sockets <= 0 {
 		return fmt.Errorf("config: organization %q has %d sockets", g.Name, g.Sockets)
+	}
+	if g.Sockets > coher.MaxPackedSockets {
+		return fmt.Errorf("config: organization %q: %w: %d sockets, at most %d",
+			g.Name, coher.ErrTooManySockets, g.Sockets, coher.MaxPackedSockets)
 	}
 	if g.HomeGroups > 1 && g.Sockets%g.HomeGroups != 0 {
 		return fmt.Errorf("config: organization %q: %d home groups do not divide %d sockets",

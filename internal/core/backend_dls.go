@@ -32,7 +32,7 @@ func (d *dlsProtocol) StoreDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v l
 	}
 	if v.HasDE() {
 		// In-tag update on the block's own line.
-		e.llc.Payload(v, v.DEWay).Entry = ent
+		e.llc.SetEntry(v, ent)
 		return v, true
 	}
 	if !v.HasData() {

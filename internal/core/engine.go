@@ -259,7 +259,7 @@ func (e *Engine) findDE(addr coher.Addr, v llc.View) (coher.Entry, deLoc) {
 		return ent, locDir
 	}
 	if e.housesInLLC && v.HasDE() {
-		return e.llc.Payload(v, v.DEWay).Entry, locLLC
+		return e.llc.Entry(v), locLLC
 	}
 	return coher.Entry{}, locNone
 }

@@ -68,7 +68,7 @@ func (e *Engine) maybeCorruptDE(t sim.Cycle, addr coher.Addr, v llc.View) llc.Vi
 	if e.faults == nil || !e.usesHomeSegments || !v.HasDE() {
 		return v
 	}
-	ent := e.llc.Payload(v, v.DEWay).Entry
+	ent := e.llc.Entry(v)
 	if !e.faults.CorruptHousedDE(addr, ent, v.Fused) {
 		return v
 	}
@@ -85,7 +85,7 @@ func (e *Engine) maybeCorruptDE(t sim.Cycle, addr coher.Addr, v llc.View) llc.Vi
 // no data is lost and the §III-D4 last-copy retrieval restores memory
 // when that copy eventually leaves.
 func (e *Engine) retireDE(t sim.Cycle, addr coher.Addr, v llc.View) {
-	ent := e.llc.Payload(v, v.DEWay).Entry
+	ent := e.llc.Entry(v)
 	e.record(coher.MsgWBDE)
 	e.home.WBDE(t, e.p.Socket, addr, ent)
 	fused := v.Fused
@@ -201,7 +201,7 @@ func (e *Engine) ForceInclusionEviction(t sim.Cycle, addr coher.Addr) bool {
 		return false
 	}
 	p := e.llc.Payload(v, v.DEWay)
-	ev := llc.Evicted{Addr: addr, Kind: llc.KindFused, Dirty: p.Dirty, Entry: p.Entry}
+	ev := llc.Evicted{Addr: addr, Kind: llc.KindFused, Dirty: p.Dirty, Entry: e.llc.Entry(v)}
 	e.llc.DropDE(v)
 	if v2 := e.llc.Probe(addr); v2.HasData() {
 		e.llc.InvalidateData(v2)
@@ -232,7 +232,7 @@ func (e *Engine) ForceLLCEviction(t sim.Cycle, addr coher.Addr) bool {
 		if v.Fused {
 			kind = llc.KindFused
 		}
-		ev := llc.Evicted{Addr: addr, Kind: kind, Dirty: v.Fused && p.Dirty, Entry: p.Entry}
+		ev := llc.Evicted{Addr: addr, Kind: kind, Dirty: v.Fused && p.Dirty, Entry: e.llc.Entry(v)}
 		fused := v.Fused
 		e.llc.DropDE(v)
 		if fused {

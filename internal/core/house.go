@@ -83,7 +83,7 @@ func (e *Engine) updateLLCDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v ll
 		}
 		// Block absent (or EPD, where M/E blocks leave the LLC): the
 		// entry stays in spilled form.
-		e.llc.Payload(v, v.DEWay).Entry = ent
+		e.llc.SetEntry(v, ent)
 	case FuseAll:
 		if v.Fused && !coher.FitsFusedFuseAll(ent.State, e.p.Cores) {
 			// Wide sockets: the S-state fused header (4+N bits) no longer
@@ -102,13 +102,13 @@ func (e *Engine) updateLLCDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v ll
 			p := e.llc.Payload(v, v.DEWay)
 			p.Kind = llc.KindSpilled
 			p.Dirty = false
-			p.Entry = ent
+			e.llc.SetEntry(v, ent)
 			v.DataWay, v.Fused = -1, false
 			return v, true
 		}
-		e.llc.Payload(v, v.DEWay).Entry = ent
+		e.llc.SetEntry(v, ent)
 	default: // SpillAll
-		e.llc.Payload(v, v.DEWay).Entry = ent
+		e.llc.SetEntry(v, ent)
 	}
 	return v, true
 }

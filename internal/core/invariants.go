@@ -167,7 +167,7 @@ func (e *Engine) LocateEntry(addr coher.Addr) (found coher.Entry, where string, 
 		if v.Fused {
 			loc = LocLLCFused
 		}
-		if err := claim(e.llc.Payload(v, v.DEWay).Entry, loc); err != nil {
+		if err := claim(e.llc.Entry(v), loc); err != nil {
 			return found, where, err
 		}
 	}

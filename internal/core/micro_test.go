@@ -142,7 +142,7 @@ func TestFPSSTransitions(t *testing.T) {
 	if !v.Fused {
 		t.Fatalf("entry not fused after E grant: %+v", v)
 	}
-	if e := l.Payload(v, v.DEWay).Entry; e.State != coher.DirOwned || e.Owner != 0 {
+	if e := l.Entry(v); e.State != coher.DirOwned || e.Owner != 0 {
 		t.Fatalf("fused entry = %v", e)
 	}
 
@@ -153,7 +153,7 @@ func TestFPSSTransitions(t *testing.T) {
 	if v.Fused || !v.HasDE() || !v.HasData() {
 		t.Fatalf("entry not spilled after sharing: %+v", v)
 	}
-	if e := l.Payload(v, v.DEWay).Entry; e.State != coher.DirShared || e.Sharers.Count() != 2 {
+	if e := l.Entry(v); e.State != coher.DirShared || e.Sharers.Count() != 2 {
 		t.Fatalf("spilled entry = %v", e)
 	}
 

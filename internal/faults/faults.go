@@ -661,8 +661,7 @@ func (in *Injector) corruptInTagEntry(eng *core.Engine, addr coher.Addr) bool {
 	if !v.Fused {
 		return false
 	}
-	p := eng.LLC().Payload(v, v.DEWay)
-	ent := p.Entry
+	ent := eng.LLC().Entry(v)
 	cores := eng.Params().Cores
 	switch ent.State {
 	case coher.DirOwned:
@@ -682,7 +681,7 @@ func (in *Injector) corruptInTagEntry(eng *core.Engine, addr coher.Addr) bool {
 	default:
 		return false
 	}
-	p.Entry = ent
+	eng.LLC().SetEntry(v, ent)
 	return true
 }
 

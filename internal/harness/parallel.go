@@ -333,8 +333,10 @@ func SubmitJob[T any](p *Pool, label string, fn func(ctx context.Context) (T, er
 	run := func() {
 		start := time.Now()
 		f.val, f.err = execute(p, label, seq, fn)
-		close(f.done)
+		// Count the job before resolving its future, so a caller that has
+		// waited on every future sees every job in the pool's timing.
 		p.finish(start)
+		close(f.done)
 	}
 	if p.workers <= 1 {
 		run()

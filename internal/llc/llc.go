@@ -100,14 +100,68 @@ func (k LineKind) String() string {
 	return "LineKind(?)"
 }
 
-// Payload is the per-line content.
+// Payload is the per-line header. It holds no pointers and fits in eight
+// bytes, so the line arrays stay small and the garbage collector never
+// scans them. The directory entry of a spilled or fused line lives out of
+// line in the LLC's entry slab; read and write it with Entry and SetEntry.
 type Payload struct {
 	Kind LineKind
 	// Dirty is the block-dirty bit: for KindData the usual dirty bit, for
 	// KindFused the dirty bit of the (partially corrupted) block part.
 	Dirty bool
-	// Entry is the housed directory entry for KindSpilled and KindFused.
-	Entry coher.Entry
+	// slot names the entry-slab slot of a KindSpilled or KindFused
+	// line; it is 0 on a KindData line.
+	slot uint32
+}
+
+// slabChunk is the entry count of one slab chunk. Chunks never move, so
+// the slab grows one chunk at a time instead of copying every live entry.
+const slabChunk = 1024
+
+// entrySlab stores the directory entries of the spilled and fused lines.
+// Freed slots are reused last-in first-out before a new slot is taken, so
+// the slab's size follows the peak count of housed entries. Slots are
+// numbered from 1: a data line's slot is 0, and reading slot 0 fails on
+// the chunk index instead of returning another line's entry.
+type entrySlab struct {
+	chunks []*[slabChunk]coher.Entry
+	free   []uint32
+	next   uint32 // slots 1..next have been handed out at least once
+	live   int
+}
+
+func (s *entrySlab) at(slot uint32) *coher.Entry {
+	i := slot - 1
+	return &s.chunks[i/slabChunk][i%slabChunk]
+}
+
+// alloc stores e in a free slot and returns the slot.
+func (s *entrySlab) alloc(e coher.Entry) uint32 {
+	var slot uint32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		if int(s.next) == len(s.chunks)*slabChunk {
+			s.chunks = append(s.chunks, new([slabChunk]coher.Entry))
+		}
+		s.next++
+		slot = s.next
+	}
+	*s.at(slot) = e
+	s.live++
+	return slot
+}
+
+// release frees slot and returns the entry it held. The slot is zeroed
+// so a wide entry's CoreSet extension can be garbage-collected.
+func (s *entrySlab) release(slot uint32) coher.Entry {
+	p := s.at(slot)
+	e := *p
+	*p = coher.Entry{}
+	s.free = append(s.free, slot)
+	s.live--
+	return e
 }
 
 // View locates the lines related to a block address within its set:
@@ -163,12 +217,12 @@ type LLC struct {
 	protBank, protSet int
 	protTag           uint64
 
-	// deLines counts resident spilled + fused lines across all banks.
-	// While it is zero — always, for the baseline, and during warmup for
-	// ZeroDEV — a block occupies at most one way and that way is a plain
-	// data line, so Probe takes a first-match scan with no kind
-	// classification.
-	deLines int
+	// slab holds the entries of the resident spilled and fused lines of
+	// all banks, so its live count is the DE-line census. While that is
+	// zero — always, for the baseline, and during warmup for ZeroDEV — a
+	// block occupies at most one way and that way is a plain data line,
+	// so Probe takes a first-match scan with no kind classification.
+	slab entrySlab
 }
 
 // New constructs an LLC with the given total capacity split over banks.
@@ -266,7 +320,7 @@ func (l *LLC) Probe(addr coher.Addr) View {
 	local := l.local(addr)
 	set := arr.SetIndex(local)
 	v := View{Bank: bank, Set: set, DataWay: -1, DEWay: -1}
-	if l.deLines == 0 {
+	if l.slab.live == 0 {
 		v.DataWay = arr.FindWay(set, arr.Tag(local))
 		return v
 	}
@@ -291,6 +345,18 @@ func (l *LLC) Probe(addr coher.Addr) View {
 // mutation.
 func (l *LLC) Payload(v View, way int) *Payload {
 	return l.arrs[v.Bank].Payload(v.Set, way)
+}
+
+// Entry returns the directory entry housed at v.DEWay, which must
+// locate a spilled or fused line, as every view from Probe does.
+func (l *LLC) Entry(v View) coher.Entry {
+	return *l.slab.at(l.arrs[v.Bank].Payload(v.Set, v.DEWay).slot)
+}
+
+// SetEntry rewrites the directory entry housed at v.DEWay, which must
+// locate a spilled or fused line.
+func (l *LLC) SetEntry(v View, e coher.Entry) {
+	*l.slab.at(l.arrs[v.Bank].Payload(v.Set, v.DEWay).slot) = e
 }
 
 // Touch applies the access-time replacement update for addr. Under
@@ -335,9 +401,10 @@ func isData(_ int, p *Payload) bool { return p.Kind == KindData }
 
 // victimWay picks a way to reuse in (bank, set) honoring the policy and
 // the transaction pin. evicted reports whether a line was displaced; ev
-// describes it. Returning the eviction by value keeps the per-fill path
-// free of heap allocation (this call used to account for three quarters
-// of all allocations in a run).
+// describes it, and a displaced directory entry's slab slot is freed.
+// Returning the eviction by value keeps the per-fill path free of heap
+// allocation (this call used to account for three quarters of all
+// allocations in a run).
 func (l *LLC) victimWay(bank, set int) (way int, ev Evicted, evicted bool) {
 	arr := l.arrs[bank]
 	if w, free := arr.FreeWay(set); free {
@@ -373,7 +440,9 @@ func (l *LLC) victimWay(bank, set int) (way int, ev Evicted, evicted bool) {
 		Addr:  l.global(bank, arr.AddrOf(set, w)),
 		Kind:  p.Kind,
 		Dirty: p.Dirty,
-		Entry: p.Entry,
+	}
+	if p.Kind != KindData {
+		ev.Entry = l.slab.release(p.slot)
 	}
 	return w, ev, true
 }
@@ -386,9 +455,6 @@ func (l *LLC) InsertData(addr coher.Addr, dirty bool) (ev Evicted, evicted bool)
 	local := l.local(addr)
 	set := arr.SetIndex(local)
 	way, ev, evicted := l.victimWay(bank, set)
-	if evicted && ev.Kind != KindData {
-		l.deLines--
-	}
 	arr.Insert(set, way, local, Payload{Kind: KindData, Dirty: dirty})
 	return ev, evicted
 }
@@ -402,11 +468,7 @@ func (l *LLC) InsertSpilled(addr coher.Addr, e coher.Entry) (ev Evicted, evicted
 	local := l.local(addr)
 	set := arr.SetIndex(local)
 	way, ev, evicted := l.victimWay(bank, set)
-	if evicted && ev.Kind != KindData {
-		l.deLines--
-	}
-	arr.Insert(set, way, local, Payload{Kind: KindSpilled, Entry: e})
-	l.deLines++
+	arr.Insert(set, way, local, Payload{Kind: KindSpilled, slot: l.slab.alloc(e)})
 	return ev, evicted
 }
 
@@ -418,8 +480,7 @@ func (l *LLC) Fuse(v View, e coher.Entry) {
 		panic("llc: Fuse on non-data line")
 	}
 	p.Kind = KindFused
-	p.Entry = e
-	l.deLines++
+	p.slot = l.slab.alloc(e)
 	l.arrs[v.Bank].Touch(v.Set, v.DataWay)
 }
 
@@ -431,9 +492,8 @@ func (l *LLC) Unfuse(v View) {
 	if p.Kind != KindFused {
 		panic("llc: Unfuse on non-fused line")
 	}
-	p.Kind = KindData
-	p.Entry = coher.Entry{}
-	l.deLines--
+	l.slab.release(p.slot)
+	p.Kind, p.slot = KindData, 0
 }
 
 // DropDE removes the housed directory entry of v: a spilled line is
@@ -446,8 +506,8 @@ func (l *LLC) DropDE(v View) {
 		l.Unfuse(v)
 		return
 	}
+	l.slab.release(l.Payload(v, v.DEWay).slot)
 	l.arrs[v.Bank].Invalidate(v.Set, v.DEWay)
-	l.deLines--
 }
 
 // InvalidateData removes the data line of v (EPD deallocation on
@@ -491,7 +551,7 @@ func (l *LLC) ForEachDE(fn func(addr coher.Addr, fused bool, e coher.Entry)) {
 	for b, arr := range l.arrs {
 		arr.ForEachValid(func(_, _ int, local uint64, p *Payload) {
 			if p.Kind == KindSpilled || p.Kind == KindFused {
-				fn(l.global(b, local), p.Kind == KindFused, p.Entry)
+				fn(l.global(b, local), p.Kind == KindFused, *l.slab.at(p.slot))
 			}
 		})
 	}
@@ -524,7 +584,7 @@ func (l *LLC) AppendState(buf []byte) []byte {
 			}
 			b = append(b, tag)
 			if p.Kind == KindSpilled || p.Kind == KindFused {
-				b = p.Entry.AppendCanonical(b)
+				b = l.slab.at(p.slot).AppendCanonical(b)
 			}
 			return b
 		})

@@ -1,6 +1,8 @@
 package llc
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/coher"
@@ -60,8 +62,8 @@ func TestFuseUnfuse(t *testing.T) {
 	if !v.Fused || v.DataWay != v.DEWay {
 		t.Fatalf("view after fuse = %+v", v)
 	}
-	if p := l.Payload(v, v.DEWay); !p.Dirty || p.Entry.Owner != 3 {
-		t.Fatalf("payload = %+v", p)
+	if p := l.Payload(v, v.DEWay); !p.Dirty || l.Entry(v).Owner != 3 {
+		t.Fatalf("payload = %+v, entry = %v", p, l.Entry(v))
 	}
 	l.Unfuse(v)
 	v = l.Probe(2)
@@ -181,15 +183,15 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// checkDELines asserts the deLines fast-path counter agrees with an
-// exhaustive kind census. Probe's single-way fast path is only correct
-// while the counter is exact, so any drift is a correctness bug, not a
-// performance one.
+// checkDELines asserts the slab's live count, which gates Probe's
+// fast path, agrees with an exhaustive kind census. Probe's single-way
+// fast path is only correct while the count is exact, so any drift is a
+// correctness bug, not a performance one.
 func checkDELines(t *testing.T, l *LLC) {
 	t.Helper()
 	_, s, f := l.CountKinds()
-	if l.deLines != s+f {
-		t.Fatalf("deLines = %d, want %d (spilled %d + fused %d)", l.deLines, s+f, s, f)
+	if l.slab.live != s+f {
+		t.Fatalf("slab live = %d, want %d (spilled %d + fused %d)", l.slab.live, s+f, s, f)
 	}
 }
 
@@ -233,4 +235,156 @@ func TestDELinesCounterTracksKindCensus(t *testing.T) {
 		l.DropDE(l.Probe(29))
 		checkDELines(t, l)
 	}
+}
+
+// TestPayloadIsCompact pins the line header's layout: no pointer-bearing
+// field (the line arrays stay invisible to the garbage collector) and at
+// most eight bytes per line.
+func TestPayloadIsCompact(t *testing.T) {
+	typ := reflect.TypeOf(Payload{})
+	if typ.Size() > 8 {
+		t.Fatalf("Payload is %d bytes, want at most 8", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		default:
+			t.Fatalf("Payload field %s has kind %s, want a pointer-free scalar", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// churnEntry draws a live entry; one in eight is shared by a core past
+// the two inline words, so its CoreSet carries an extension.
+func churnEntry(rng *rand.Rand) coher.Entry {
+	if rng.Intn(2) == 0 {
+		return owned(coher.CoreID(rng.Intn(300)))
+	}
+	e := shared(coher.CoreID(rng.Intn(128)), coher.CoreID(rng.Intn(128)))
+	if rng.Intn(4) == 0 {
+		e.Sharers.Add(coher.CoreID(128 + rng.Intn(300)))
+	}
+	e.Busy = rng.Intn(8) == 0
+	return e
+}
+
+// TestEntrySlabChurn drives spills, fuses, unfuses, DropDE, entry
+// rewrites and evictions by insertion against a map reference of the
+// housed entries, checking after every operation that Entry, the
+// evicted entries and ForEachDE agree with the reference, that the
+// slab's live count equals the kind census, that freed slots are
+// zeroed, and that the slab never grows past the peak census.
+func TestEntrySlabChurn(t *testing.T) {
+	for _, repl := range []Repl{LRU, SpLRU, DataLRU} {
+		for seed := int64(1); seed <= 4; seed++ {
+			churn(t, repl, seed, 10000)
+		}
+	}
+}
+
+func churn(t *testing.T, repl Repl, seed int64, ops int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	// 2 banks x 4 sets x 4 ways over 96 addresses: sets stay full, so
+	// most allocations evict.
+	l, err := NewGeometry(4, 4, 2, NonInclusive, repl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := map[coher.Addr]coher.Entry{}
+	peak := 0
+	evicted := func(op string, ev Evicted, ok bool) {
+		if !ok || ev.Kind == KindData {
+			return
+		}
+		want, housed := ref[ev.Addr]
+		if !housed || !ev.Entry.Same(want) {
+			t.Fatalf("%v seed %d %s: evicted %#x entry %v, reference %v (housed %v)",
+				repl, seed, op, uint64(ev.Addr), ev.Entry, want, housed)
+		}
+		delete(ref, ev.Addr)
+	}
+	for i := 0; i < ops; i++ {
+		addr := coher.Addr(rng.Intn(96))
+		v := l.Probe(addr)
+		op := rng.Intn(6)
+		switch {
+		case op == 0 && !v.HasData():
+			ev, ok := l.InsertData(addr, rng.Intn(2) == 0)
+			evicted("insert", ev, ok)
+		case op == 1 && !v.HasDE():
+			e := churnEntry(rng)
+			ev, ok := l.InsertSpilled(addr, e)
+			evicted("spill", ev, ok)
+			ref[addr] = e
+		case op == 2 && v.HasData() && !v.HasDE():
+			e := churnEntry(rng)
+			l.Fuse(v, e)
+			ref[addr] = e
+		case op == 3 && v.Fused:
+			l.Unfuse(v)
+			delete(ref, addr)
+		case op == 4 && v.HasDE():
+			l.DropDE(v)
+			delete(ref, addr)
+		case op == 5 && v.HasDE():
+			e := churnEntry(rng)
+			l.SetEntry(v, e)
+			ref[addr] = e
+		}
+		peak = max(peak, len(ref))
+		checkChurn(t, l, ref, peak)
+	}
+}
+
+func checkChurn(t *testing.T, l *LLC, ref map[coher.Addr]coher.Entry, peak int) {
+	t.Helper()
+	for a, want := range ref {
+		v := l.Probe(a)
+		if !v.HasDE() {
+			t.Fatalf("%#x: reference holds %v, LLC houses nothing", uint64(a), want)
+		}
+		if got := l.Entry(v); !got.Same(want) {
+			t.Fatalf("%#x: Entry = %v, want %v", uint64(a), got, want)
+		}
+	}
+	seen := 0
+	l.ForEachDE(func(a coher.Addr, _ bool, e coher.Entry) {
+		seen++
+		if want, ok := ref[a]; !ok || !e.Same(want) {
+			t.Fatalf("ForEachDE %#x = %v, reference %v (housed %v)", uint64(a), e, want, ok)
+		}
+	})
+	if seen != len(ref) {
+		t.Fatalf("ForEachDE visited %d entries, reference holds %d", seen, len(ref))
+	}
+	checkDELines(t, l)
+	if l.slab.live != len(ref) {
+		t.Fatalf("slab live = %d, reference holds %d", l.slab.live, len(ref))
+	}
+	if int(l.slab.next) != peak {
+		t.Fatalf("slab handed out %d slots, peak census %d", l.slab.next, peak)
+	}
+	for _, s := range l.slab.free {
+		if e := l.slab.at(s); !e.Same(coher.Entry{}) || e.Sharers.ExtWords() != nil {
+			t.Fatalf("freed slot %d holds %v", s, *e)
+		}
+	}
+}
+
+func TestEntryOfDataLinePanics(t *testing.T) {
+	// A data line's slot is 0, which names no slab slot: misusing a data
+	// way as a DE way must fail loudly, not return another line's entry.
+	l := tiny(LRU)
+	l.InsertSpilled(1, owned(0))
+	l.InsertData(2, false)
+	v := l.Probe(2)
+	v.DEWay = v.DataWay
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Entry of a data line did not panic")
+		}
+	}()
+	l.Entry(v)
 }

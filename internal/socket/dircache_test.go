@@ -1,6 +1,7 @@
 package socket
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/coher"
@@ -120,5 +121,21 @@ func TestNewValidatesGeometry(t *testing.T) {
 	}
 	if _, err := New(p, spec, streams); err == nil {
 		t.Fatal("non-power-of-two directory cache accepted")
+	}
+}
+
+func TestCheckSocketDirectoryIsDeterministic(t *testing.T) {
+	// Two backup entries name a socket that holds nothing: the check must
+	// report the lower address every time, not whichever the map yields.
+	sys := newBareSystem(t, MemoryBackup, 8)
+	sys.backup = map[coher.Addr]uint64{0x40: sockOwned(1).Pack(), 0x80: sockOwned(0).Pack()}
+	first := sys.CheckSocketDirectory()
+	if first == nil || !strings.Contains(first.Error(), "0x40") {
+		t.Fatalf("first violation = %v, want the one at 0x40", first)
+	}
+	for i := 0; i < 20; i++ {
+		if err := sys.CheckSocketDirectory(); err == nil || err.Error() != first.Error() {
+			t.Fatalf("call %d: %v, want %v", i, err, first)
+		}
 	}
 }

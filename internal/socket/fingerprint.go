@@ -2,7 +2,6 @@ package socket
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"repro/internal/coher"
 )
@@ -24,20 +23,18 @@ func (sys *System) AppendState(buf []byte) []byte {
 	buf = append(buf, 0xfe)
 	buf = sys.dirCache.AppendState(buf, appendSocketEntry)
 	buf = append(buf, 0xfe)
-	addrs := make([]coher.Addr, 0, len(sys.backup))
-	for a := range sys.backup {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		e := sys.backup[a]
+	for _, a := range sys.backupAddrs() {
+		w := sys.backup[a]
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(a))
-		buf = appendSocketEntry(buf, &e)
+		buf = appendSocketEntry(buf, &w)
 	}
 	return buf
 }
 
-func appendSocketEntry(buf []byte, e *coher.SocketEntry) []byte {
+// appendSocketEntry encodes a packed entry field by field, so
+// fingerprints do not depend on the packed layout.
+func appendSocketEntry(buf []byte, w *uint64) []byte {
+	e := coher.UnpackSocketEntry(*w)
 	buf = append(buf, byte(e.State), byte(e.Owner))
 	return binary.LittleEndian.AppendUint64(buf, uint64(e.Sharers))
 }

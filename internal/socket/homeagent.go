@@ -52,7 +52,7 @@ func (h *homeAgent) inter(a, b int) sim.Cycle {
 func (sys *System) lookupSocketEntry(t sim.Cycle, addr coher.Addr) (coher.SocketEntry, sim.Cycle) {
 	if set, way, ok := sys.dirCache.Lookup(uint64(addr)); ok {
 		sys.dirCache.Touch(set, way)
-		return *sys.dirCache.Payload(set, way), t + 2
+		return coher.UnpackSocketEntry(*sys.dirCache.Payload(set, way)), t + 2
 	}
 	sys.stats.DirCacheMisses++
 	switch sys.P.Backing {
@@ -62,16 +62,16 @@ func (sys *System) lookupSocketEntry(t sim.Cycle, addr coher.Addr) (coher.Socket
 		// (home memory is looked up anyway on the flows that miss here),
 		// so it contributes bank occupancy and traffic but only a small
 		// serialization charge.
-		e := sys.backup[addr]
+		w := sys.backup[addr]
 		sys.dram.Read(t, uint64(addr), dram.KindData)
-		sys.fillDirCache(t, addr, e)
-		return e, t + 4
+		sys.fillDirCache(t, addr, w)
+		return coher.UnpackSocketEntry(w), t + 4
 	default: // DirEvictBit
 		if e, ok := sys.mem.DirEvict(addr); ok {
 			sys.stats.DirEvictBitHits++
 			sys.dram.Read(t, uint64(addr), dram.KindData)
 			sys.mem.ClearDirEvict(addr)
-			sys.fillDirCache(t, addr, e)
+			sys.fillDirCache(t, addr, e.Pack())
 			return e, t + 4
 		}
 		return coher.SocketEntry{}, t + 2
@@ -79,12 +79,13 @@ func (sys *System) lookupSocketEntry(t sim.Cycle, addr coher.Addr) (coher.Socket
 }
 
 func (sys *System) storeSocketEntry(t sim.Cycle, addr coher.Addr, e coher.SocketEntry) {
+	w := e.Pack()
 	if sys.P.Backing == MemoryBackup {
 		if sys.backup == nil {
-			sys.backup = make(map[coher.Addr]coher.SocketEntry)
+			sys.backup = make(map[coher.Addr]uint64)
 		}
 		if e.Live() {
-			sys.backup[addr] = e
+			sys.backup[addr] = w
 		} else {
 			delete(sys.backup, addr)
 		}
@@ -100,28 +101,28 @@ func (sys *System) storeSocketEntry(t sim.Cycle, addr coher.Addr, e coher.Socket
 		return
 	}
 	if ok {
-		*sys.dirCache.Payload(set, way) = e
+		*sys.dirCache.Payload(set, way) = w
 		sys.dirCache.Touch(set, way)
 		return
 	}
-	sys.fillDirCache(t, addr, e)
+	sys.fillDirCache(t, addr, w)
 }
 
-// fillDirCache inserts an entry, handling the eviction per the backing
-// scheme. Owned entries get higher replacement priority (§III-D5) to
-// minimize corrupted shared blocks.
-func (sys *System) fillDirCache(t sim.Cycle, addr coher.Addr, e coher.SocketEntry) {
+// fillDirCache inserts a packed entry, handling the eviction per the
+// backing scheme. Owned entries get higher replacement priority (§III-D5)
+// to minimize corrupted shared blocks.
+func (sys *System) fillDirCache(t sim.Cycle, addr coher.Addr, w uint64) {
 	set := sys.dirCache.SetIndex(uint64(addr))
 	way, free := sys.dirCache.FreeWay(set)
 	if !free {
-		w, ok := sys.dirCache.VictimWhere(set, func(_ int, p *coher.SocketEntry) bool {
-			return p.State == coher.SockOwned
+		vw, ok := sys.dirCache.VictimWhere(set, func(_ int, p *uint64) bool {
+			return coher.UnpackSocketEntry(*p).State == coher.SockOwned
 		})
 		if !ok {
-			w = sys.dirCache.Victim(set)
+			vw = sys.dirCache.Victim(set)
 		}
-		way = w
-		victim := *sys.dirCache.Payload(set, way)
+		way = vw
+		victim := coher.UnpackSocketEntry(*sys.dirCache.Payload(set, way))
 		vAddr := coher.Addr(sys.dirCache.AddrOf(set, way))
 		if sys.P.Backing == DirEvictBit && victim.Live() {
 			// The evicted socket-level entry is housed in the memory
@@ -133,7 +134,7 @@ func (sys *System) fillDirCache(t sim.Cycle, addr coher.Addr, e coher.SocketEntr
 		// silent.
 		sys.dirCache.Invalidate(set, way)
 	}
-	sys.dirCache.Insert(set, way, uint64(addr), e)
+	sys.dirCache.Insert(set, way, uint64(addr), w)
 }
 
 // --- core.Home implementation ------------------------------------------------
@@ -369,10 +370,10 @@ func (h *homeAgent) SocketEvict(t sim.Cycle, s int, addr coher.Addr) bool {
 // for metadata decisions and invariant checks.
 func (sys *System) peekSocketEntry(addr coher.Addr) coher.SocketEntry {
 	if set, way, ok := sys.dirCache.Lookup(uint64(addr)); ok {
-		return *sys.dirCache.Payload(set, way)
+		return coher.UnpackSocketEntry(*sys.dirCache.Payload(set, way))
 	}
 	if sys.P.Backing == MemoryBackup {
-		return sys.backup[addr]
+		return coher.UnpackSocketEntry(sys.backup[addr])
 	}
 	if e, ok := sys.mem.DirEvict(addr); ok {
 		return e

@@ -1,10 +1,13 @@
 package socket_test
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/llc"
 	"repro/internal/socket"
 	"repro/internal/workload"
@@ -110,5 +113,33 @@ func TestOrgValidation(t *testing.T) {
 	}
 	if _, err := config.MultiSocket(16384, 64, 8); err == nil {
 		t.Fatal("64×256 exceeds the compressed home-segment budget")
+	}
+}
+
+func TestTooManySocketsRefused(t *testing.T) {
+	// The packed socket-level entry holds 56 sharer bits: 56 sockets
+	// build, anything wider is refused by name instead of silently
+	// dropping sharers past bit 63.
+	pre := config.TableI(32)
+	pre.Cores = 2
+	spec := pre.ZeroDEV(0, core.FPSS, llc.DataLRU, llc.NonInclusive)
+	for _, tc := range []struct {
+		sockets int
+		ok      bool
+	}{{56, true}, {57, false}, {64, false}, {65, false}} {
+		t.Run(fmt.Sprint(tc.sockets), func(t *testing.T) {
+			g := config.Org{Name: "wide", Preset: pre, Sockets: tc.sockets}
+			if err := g.Validate(); (err == nil) != tc.ok || (err != nil && !errors.Is(err, socket.ErrTooManySockets)) {
+				t.Fatalf("Org.Validate(%d sockets) = %v", tc.sockets, err)
+			}
+			var streams []cpu.Stream
+			if tc.ok {
+				streams = workload.Threads(workload.MustGet("swaptions"), tc.sockets*spec.Cores, 0, 32, 1)
+			}
+			_, err := socket.New(socket.DefaultParams(tc.sockets, 64), spec, streams)
+			if (err == nil) != tc.ok || (err != nil && !errors.Is(err, socket.ErrTooManySockets)) {
+				t.Fatalf("socket.New(%d sockets) = %v", tc.sockets, err)
+			}
+		})
 	}
 }

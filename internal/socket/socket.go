@@ -10,6 +10,7 @@ package socket
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/cache"
@@ -79,6 +80,12 @@ type ForwardFaults interface {
 	DropDENFNack(f int, addr coher.Addr) bool
 }
 
+// ErrTooManySockets refuses a system with more sockets than the packed
+// socket-level entry's sharer vector holds (coher.MaxPackedSockets). It
+// is coher.ErrTooManySockets, so config can name the same error without
+// importing this package.
+var ErrTooManySockets = coher.ErrTooManySockets
+
 // DefaultParams returns the paper's four-socket evaluation parameters.
 func DefaultParams(sockets, dirEntries int) Params {
 	return Params{
@@ -112,13 +119,15 @@ type System struct {
 	P       Params
 	Sockets []*Socket
 
-	mem      *mem.Memory
-	dram     *dram.DRAM
-	dirCache *cache.Array[coher.SocketEntry]
+	mem  *mem.Memory
+	dram *dram.DRAM
+	// dirCache and backup hold socket-level entries packed into one word
+	// each (coher.SocketEntry.Pack).
+	dirCache *cache.Array[uint64]
 	// backup is the authoritative full-map socket-directory backup used
 	// by the MemoryBackup scheme (the reserved home-memory region of
 	// §III-D5, solution 1).
-	backup map[coher.Addr]coher.SocketEntry
+	backup map[coher.Addr]uint64
 	stats  Stats
 }
 
@@ -126,6 +135,9 @@ type System struct {
 // constructor is invoked per socket); streams supplies the reference
 // stream for every core, socket-major.
 func New(p Params, spec core.SystemSpec, streams []cpu.Stream) (*System, error) {
+	if p.Sockets > coher.MaxPackedSockets {
+		return nil, fmt.Errorf("socket: %w: %d sockets, at most %d", ErrTooManySockets, p.Sockets, coher.MaxPackedSockets)
+	}
 	if len(streams) != p.Sockets*spec.Cores {
 		return nil, fmt.Errorf("socket: need %d streams, got %d", p.Sockets*spec.Cores, len(streams))
 	}
@@ -140,7 +152,7 @@ func New(p Params, spec core.SystemSpec, streams []cpu.Stream) (*System, error) 
 		P:        p,
 		mem:      mem.MustNew(p.Sockets, spec.Cores),
 		dram:     dram.MustNew(spec.DRAM),
-		dirCache: cache.New[coher.SocketEntry](cache.Geometry{Sets: sets, Ways: p.DirCacheWays}, cache.NRU),
+		dirCache: cache.New[uint64](cache.Geometry{Sets: sets, Ways: p.DirCacheWays}, cache.NRU),
 	}
 	for s := 0; s < p.Sockets; s++ {
 		l, err := buildLLC(spec)
@@ -240,7 +252,8 @@ func (sys *System) CheckInvariants() error {
 // CheckSocketDirectory cross-validates the socket-level directory
 // against per-socket ground truth. It requires the MemoryBackup scheme
 // (whose backup map enumerates all live entries); under DirEvictBit it
-// checks only the cached entries.
+// checks only the cached entries. Entries are checked in ascending
+// address order, so the first violation reported is always the same.
 func (sys *System) CheckSocketDirectory() error {
 	check := func(addr coher.Addr, e coher.SocketEntry) error {
 		var err error
@@ -260,20 +273,31 @@ func (sys *System) CheckSocketDirectory() error {
 		return err
 	}
 	if sys.P.Backing == MemoryBackup {
-		for addr, e := range sys.backup {
-			if err := check(addr, e); err != nil {
+		for _, addr := range sys.backupAddrs() {
+			if err := check(addr, coher.UnpackSocketEntry(sys.backup[addr])); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	var err error
-	sys.dirCache.ForEachValid(func(_, _ int, a uint64, e *coher.SocketEntry) {
+	sys.dirCache.ForEachValid(func(_, _ int, a uint64, w *uint64) {
 		if err == nil {
-			err = check(coher.Addr(a), *e)
+			err = check(coher.Addr(a), coher.UnpackSocketEntry(*w))
 		}
 	})
 	return err
+}
+
+// backupAddrs returns the MemoryBackup map's addresses in ascending
+// order, so walks over it do not depend on map iteration order.
+func (sys *System) backupAddrs() []coher.Addr {
+	addrs := make([]coher.Addr, 0, len(sys.backup))
+	for a := range sys.backup {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	return addrs
 }
 
 func buildLLC(spec core.SystemSpec) (*llc.LLC, error) {
