@@ -1,0 +1,110 @@
+package main
+
+import (
+	"context"
+	"io"
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/config"
+)
+
+// runCaptured runs one subcommand with os.Stdout and os.Stderr redirected
+// to temporary files and returns its exit code and both outputs.
+func runCaptured(t *testing.T, cmd func() int) (code int, stdout, stderr string) {
+	t.Helper()
+	outF, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errF, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldOut, oldErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = outF, errF
+	func() {
+		defer func() { os.Stdout, os.Stderr = oldOut, oldErr }()
+		code = cmd()
+	}()
+	read := func(f *os.File) string {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		return string(b)
+	}
+	return code, read(outF), read(errF)
+}
+
+// TestMalformedValuesRefused is the table of malformed CLI values that a
+// lenient parser silently maps to another configuration: through a
+// zero-value map lookup (policy, mode), a default branch (config) or an
+// ignored scan error (ratio). Each must exit 2 naming the valid values,
+// with nothing on stdout, before any simulation runs.
+func TestMalformedValuesRefused(t *testing.T) {
+	small := []string{"-scale", "32", "-accesses", "1000"}
+	single := func(args ...string) func() int {
+		return func() int { return singleCmd(append(append(small, args...), "canneal")) }
+	}
+	compare := func(args ...string) func() int {
+		return func() int {
+			return compareCmd(context.Background(), append(append(append(small, "-workers", "1"), args...), "canneal"))
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		cmd   func() int
+		names string // the valid values the refusal must list
+	}{
+		{"single -policy fps", single("-policy", "fps"), "spillall, fpss, or fuseall"},
+		{"single -mode epdd", single("-mode", "epdd"), "noninclusive, epd, or inclusive"},
+		{"single -config typo", single("-config", "zerodve"), "baseline, zerodev, or unbounded"},
+		{"trace -config typo", func() int {
+			return traceCmd(append(small, "-config", "zerodve", "-replay", t.TempDir()))
+		}, "baseline or zerodev"},
+		{"compare ratio 1/8", compare("-configs", "baseline:1,zerodev:1/8"), "non-negative decimal number"},
+		{"compare ratio 0.l25", compare("-configs", "zerodev:0.l25"), "non-negative decimal number"},
+		{"compare -mode epdd", compare("-mode", "epdd"), "noninclusive, epd, or inclusive"},
+	} {
+		code, stdout, stderr := runCaptured(t, tc.cmd)
+		if code != 2 {
+			t.Errorf("%s: exit %d, want 2 (stderr %q)", tc.name, code, stderr)
+		}
+		if !strings.Contains(stderr, tc.names) {
+			t.Errorf("%s: stderr %q does not name the valid values %q", tc.name, stderr, tc.names)
+		}
+		if stdout != "" {
+			t.Errorf("%s: printed %q; a refused value must run nothing", tc.name, stdout)
+		}
+	}
+}
+
+// TestWellFormedValuesAccepted keeps the parsers from refusing the
+// values the help text documents.
+func TestWellFormedValuesAccepted(t *testing.T) {
+	pre := config.TableI(8)
+	for _, mode := range []string{"noninclusive", "EPD", "inclusive"} {
+		for _, cfg := range []string{"baseline", "zerodev", "Unbounded"} {
+			for _, pol := range []string{"spillall", "fpss", "FuseAll"} {
+				if _, err := singleSpec(pre, cfg, 0.125, pol, mode); err != nil {
+					t.Errorf("single -config %s -policy %s -mode %s: %v", cfg, pol, mode, err)
+				}
+			}
+		}
+	}
+	names, specs, err := compareSpecs(pre, "baseline:1, zerodev:0,zerodev:0.125,unbounded,secdir:1,mgd:1e-1", "epd")
+	if err != nil || len(names) != 6 || len(specs) != 6 {
+		t.Fatalf("compare configs: %d names, %d specs, err %v", len(names), len(specs), err)
+	}
+	for _, cfg := range []string{"baseline", "zerodev"} {
+		if _, err := replaySpec(pre, cfg); err != nil {
+			t.Errorf("trace -config %s: %v", cfg, err)
+		}
+	}
+}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/config"
@@ -20,7 +22,7 @@ import (
 // to arbitrary configuration lists.
 //
 //	zerodev compare -configs baseline:1,zerodev:0,zerodev:0.125 canneal
-func compareCmd(ctx context.Context, args []string) {
+func compareCmd(ctx context.Context, args []string) int {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	scale := fs.Int("scale", 8, "capacity scale divisor")
 	accesses := fs.Int("accesses", 60000, "memory accesses per core")
@@ -31,50 +33,30 @@ func compareCmd(ctx context.Context, args []string) {
 	workers := fs.Int("workers", harness.DefaultOptions().Workers,
 		"parallel simulation workers (1 = serial; output is identical either way)")
 	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
+		return 2
 	}
 	if fs.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "compare: exactly one application name required")
-		os.Exit(2)
+		return 2
 	}
 	if err := (harness.Options{Scale: *scale, Accesses: *accesses, Workers: *workers}).Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "compare:", err)
-		os.Exit(2)
-	}
-	prof, err := workload.Get(fs.Arg(0))
-	if err != nil {
-		fatal(err)
+		return 2
 	}
 	pre := config.TableI(*scale)
-	lm := map[string]llc.Mode{"noninclusive": llc.NonInclusive, "epd": llc.EPD, "inclusive": llc.Inclusive}[strings.ToLower(*mode)]
-
 	// Parse every config before simulating so flag errors surface
 	// immediately, then submit one independent job per configuration and
 	// collect results in flag order — the printed table is identical for
 	// any worker count.
-	var names []string
-	var specs []core.SystemSpec
-	for _, spec := range strings.Split(*configs, ",") {
-		kind, ratioStr, _ := strings.Cut(strings.TrimSpace(spec), ":")
-		var ratio float64
-		fmt.Sscanf(ratioStr, "%g", &ratio)
-		var sysSpec core.SystemSpec
-		switch strings.ToLower(kind) {
-		case "baseline":
-			sysSpec = pre.Baseline(ratio, lm)
-		case "zerodev":
-			sysSpec = pre.ZeroDEV(ratio, core.FPSS, llc.DataLRU, lm)
-		case "unbounded":
-			sysSpec = pre.Unbounded(lm)
-		case "secdir":
-			sysSpec = pre.SecDir(ratio, lm)
-		case "mgd":
-			sysSpec = pre.MgD(ratio, lm)
-		default:
-			fatal(fmt.Errorf("compare: unknown config kind %q", kind))
-		}
-		names = append(names, spec)
-		specs = append(specs, sysSpec)
+	names, specs, err := compareSpecs(pre, *configs, *mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "compare:", err)
+		return 2
+	}
+	prof, err := workload.Get(fs.Arg(0))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
 	type cfgResult struct {
 		run stats.Run
@@ -104,7 +86,8 @@ func compareCmd(ctx context.Context, args []string) {
 	for _, fut := range futs {
 		res := fut.Wait()
 		if res.err != nil {
-			fatal(res.err)
+			fmt.Fprintln(os.Stderr, res.err)
+			return 1
 		}
 		runs = append(runs, res.run)
 	}
@@ -140,4 +123,43 @@ func compareCmd(ctx context.Context, args []string) {
 		return fmt.Sprintf("%d/%d", r.DRAM.Reads, r.DRAM.Writes)
 	})
 	t.Fprint(os.Stdout)
+	return 0
+}
+
+// compareSpecs parses the -configs list and -mode of compare into one
+// named system spec per item. Each item is kind or kind:ratio; a kind,
+// ratio or mode that names nothing is refused, not replaced by a default.
+func compareSpecs(pre config.Preset, configs, mode string) (names []string, specs []core.SystemSpec, err error) {
+	lm, err := parseMode(mode)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, item := range strings.Split(configs, ",") {
+		kind, ratioStr, hasRatio := strings.Cut(strings.TrimSpace(item), ":")
+		var ratio float64
+		if hasRatio {
+			ratio, err = strconv.ParseFloat(ratioStr, 64)
+			if err != nil || ratio < 0 || math.IsInf(ratio, 0) || math.IsNaN(ratio) {
+				return nil, nil, fmt.Errorf("config %q: ratio %q is not a non-negative decimal number (e.g. 0.125)", item, ratioStr)
+			}
+		}
+		var spec core.SystemSpec
+		switch strings.ToLower(kind) {
+		case "baseline":
+			spec = pre.Baseline(ratio, lm)
+		case "zerodev":
+			spec = pre.ZeroDEV(ratio, core.FPSS, llc.DataLRU, lm)
+		case "unbounded":
+			spec = pre.Unbounded(lm)
+		case "secdir":
+			spec = pre.SecDir(ratio, lm)
+		case "mgd":
+			spec = pre.MgD(ratio, lm)
+		default:
+			return nil, nil, fmt.Errorf("unknown config kind %q (want baseline, zerodev, unbounded, secdir, or mgd)", kind)
+		}
+		names = append(names, item)
+		specs = append(specs, spec)
+	}
+	return names, specs, nil
 }

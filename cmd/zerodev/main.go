@@ -46,6 +46,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/llc"
+	"repro/internal/mcheck"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -81,16 +82,13 @@ func realMain() int {
 	case "run":
 		return runCmd(ctx, os.Args[2:])
 	case "single":
-		singleCmd(os.Args[2:])
-		return 0
+		return singleCmd(os.Args[2:])
 	case "audit":
 		return auditCmd(ctx, os.Args[2:])
 	case "trace":
-		traceCmd(os.Args[2:])
-		return 0
+		return traceCmd(os.Args[2:])
 	case "compare":
-		compareCmd(ctx, os.Args[2:])
-		return 0
+		return compareCmd(ctx, os.Args[2:])
 	case "check":
 		return checkCmd(ctx, os.Args[2:])
 	case "bench":
@@ -274,7 +272,47 @@ func joinErrs(errs []error) error {
 	return errors.Join(errs...)
 }
 
-func singleCmd(args []string) {
+// parseMode parses the -mode value of single and compare, naming the
+// valid values when it is none of them.
+func parseMode(s string) (llc.Mode, error) {
+	switch strings.ToLower(s) {
+	case "noninclusive":
+		return llc.NonInclusive, nil
+	case "epd":
+		return llc.EPD, nil
+	case "inclusive":
+		return llc.Inclusive, nil
+	}
+	return 0, fmt.Errorf("unknown -mode %q (want noninclusive, epd, or inclusive)", s)
+}
+
+// singleSpec builds the system single runs from its -config, -ratio,
+// -policy and -mode values. A value that names nothing is refused, not
+// replaced by a default.
+func singleSpec(pre config.Preset, cfg string, ratio float64, policy, mode string) (core.SystemSpec, error) {
+	lm, err := parseMode(mode)
+	if err != nil {
+		return core.SystemSpec{}, err
+	}
+	pm, err := mcheck.ParsePolicy(policy)
+	if err != nil {
+		return core.SystemSpec{}, err
+	}
+	switch strings.ToLower(cfg) {
+	case "baseline":
+		if ratio == 0 {
+			ratio = 1
+		}
+		return pre.Baseline(ratio, lm), nil
+	case "unbounded":
+		return pre.Unbounded(lm), nil
+	case "zerodev":
+		return pre.ZeroDEV(ratio, pm, llc.DataLRU, lm), nil
+	}
+	return core.SystemSpec{}, fmt.Errorf("unknown -config %q (want baseline, zerodev, or unbounded)", cfg)
+}
+
+func singleCmd(args []string) int {
 	fs := flag.NewFlagSet("single", flag.ExitOnError)
 	scale := fs.Int("scale", 8, "capacity scale divisor")
 	accesses := fs.Int("accesses", 100000, "memory accesses per core")
@@ -283,36 +321,25 @@ func singleCmd(args []string) {
 	policy := fs.String("policy", "fpss", "spillall | fpss | fuseall")
 	mode := fs.String("mode", "noninclusive", "noninclusive | epd | inclusive")
 	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
+		return 2
 	}
 	if fs.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "single: exactly one application name required")
-		os.Exit(2)
+		return 2
 	}
 	if err := (harness.Options{Scale: *scale, Accesses: *accesses, Workers: 1}).Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "single:", err)
-		os.Exit(2)
+		return 2
+	}
+	spec, err := singleSpec(config.TableI(*scale), *cfg, *ratio, *policy, *mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "single:", err)
+		return 2
 	}
 	prof, err := workload.Get(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	pre := config.TableI(*scale)
-	lm := map[string]llc.Mode{"noninclusive": llc.NonInclusive, "epd": llc.EPD, "inclusive": llc.Inclusive}[strings.ToLower(*mode)]
-	pm := map[string]core.DEPolicy{"spillall": core.SpillAll, "fpss": core.FPSS, "fuseall": core.FuseAll}[strings.ToLower(*policy)]
-	var spec core.SystemSpec
-	switch strings.ToLower(*cfg) {
-	case "baseline":
-		r := *ratio
-		if r == 0 {
-			r = 1
-		}
-		spec = pre.Baseline(r, lm)
-	case "unbounded":
-		spec = pre.Unbounded(lm)
-	default:
-		spec = pre.ZeroDEV(*ratio, pm, llc.DataLRU, lm)
+		return 1
 	}
 	streams := workload.Threads(prof, spec.Cores, *accesses, *scale, 1)
 	if prof.Suite == "CPU2017" {
@@ -343,7 +370,8 @@ func singleCmd(args []string) {
 	}
 	if err := sys.Engine.CheckInvariants(); err != nil {
 		fmt.Fprintf(os.Stderr, "INVARIANT VIOLATION: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Println("invariants: ok")
+	return 0
 }

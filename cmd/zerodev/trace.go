@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/atomicio"
 	"repro/internal/config"
@@ -20,7 +21,7 @@ import (
 // traceCmd records synthetic workloads to trace files, inspects them,
 // and replays them through a configuration — the decoupled-workload
 // path described in package trace.
-func traceCmd(args []string) {
+func traceCmd(args []string) int {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	record := fs.String("record", "", "application to record (one file per thread)")
 	dir := fs.String("dir", "traces", "trace directory")
@@ -32,17 +33,23 @@ func traceCmd(args []string) {
 	replay := fs.String("replay", "", "trace directory to replay (one file per core)")
 	cfg := fs.String("config", "zerodev", "replay configuration: baseline | zerodev")
 	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
+		return 2
 	}
 	// Same pre-flight validation run/single/audit perform: reject bad
-	// scale/accesses combinations before any file or simulation work.
+	// scale/accesses combinations and an unknown -config before any file
+	// or simulation work.
 	if err := (harness.Options{Scale: *scale, Accesses: *accesses, Workers: 1}).Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "trace:", err)
-		os.Exit(2)
+		return 2
 	}
 	if *threads < 1 {
 		fmt.Fprintf(os.Stderr, "trace: -threads must be at least 1, got %d\n", *threads)
-		os.Exit(2)
+		return 2
+	}
+	spec, err := replaySpec(config.TableI(*scale), *cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "trace:", err)
+		return 2
 	}
 
 	switch {
@@ -119,13 +126,6 @@ func traceCmd(args []string) {
 			*info, total, loads, stores, ifetches, instrs, len(blocks), float64(len(blocks))*64/1024)
 
 	case *replay != "":
-		pre := config.TableI(*scale)
-		var spec core.SystemSpec
-		if *cfg == "baseline" {
-			spec = pre.Baseline(1, llc.NonInclusive)
-		} else {
-			spec = pre.ZeroDEV(0, core.FPSS, llc.DataLRU, llc.NonInclusive)
-		}
 		matches, err := filepath.Glob(filepath.Join(*replay, "*.ztr"))
 		if err != nil || len(matches) == 0 {
 			fatal(fmt.Errorf("no .ztr files under %s", *replay))
@@ -158,8 +158,21 @@ func traceCmd(args []string) {
 
 	default:
 		fmt.Fprintln(os.Stderr, "trace: one of -record, -info, -replay required")
-		os.Exit(2)
+		return 2
 	}
+	return 0
+}
+
+// replaySpec builds the system trace -replay runs from its -config value,
+// refusing a value that names neither configuration.
+func replaySpec(pre config.Preset, cfg string) (core.SystemSpec, error) {
+	switch strings.ToLower(cfg) {
+	case "baseline":
+		return pre.Baseline(1, llc.NonInclusive), nil
+	case "zerodev":
+		return pre.ZeroDEV(0, core.FPSS, llc.DataLRU, llc.NonInclusive), nil
+	}
+	return core.SystemSpec{}, fmt.Errorf("unknown -config %q (want baseline or zerodev)", cfg)
 }
 
 func fatal(err error) {

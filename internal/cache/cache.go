@@ -13,12 +13,21 @@ import (
 type Policy uint8
 
 const (
-	// LRU is true least-recently-used replacement (per-line use stamps).
+	// LRU is true least-recently-used replacement: one byte per line
+	// holding a per-set use stamp and a demotion bit.
 	LRU Policy = iota
 	// NRU is 1-bit not-recently-used replacement, as in the paper's
 	// baseline sparse directory (Table I).
 	NRU
 )
+
+// MaxLRUWays is the widest associativity an LRU array ranks. A line's
+// replacement byte holds a 7-bit use stamp numbered per set; when a set
+// runs out of stamps its valid ways are re-ranked to 0..n-1, and the
+// bound keeps n below 64, so at least 64 fresh stamps follow every
+// re-rank. It also keeps AppendState's rank byte clear of its demotion
+// bit. The paper's caches rank at most 16 ways.
+const MaxLRUWays = 64
 
 // Geometry describes a set-associative organization.
 type Geometry struct {
@@ -69,27 +78,43 @@ const invalidTag = ^uint64(0)
 // Array is a set-associative array whose lines carry a payload of type T.
 // The zero value is not usable; construct with New.
 //
-// Per-line metadata is allocated for the array's own policy only: use
-// stamps and demotion marks under LRU, reference bits under NRU.
+// Replacement state is one byte per line (rep). Under LRU the low seven
+// bits are a use stamp numbered per set and bit 7 (notDemoted) is set
+// unless the line is demoted, so the victim is the valid way with the
+// smallest byte: demoted lines first, then the oldest stamp. Each touch
+// takes the set's next stamp, so the valid stamps of a set are distinct
+// and order the lines by their last touch. Under NRU the byte is the
+// reference bit.
 type Array[T any] struct {
 	geo      Geometry
 	policy   Policy
 	tagShift uint8    // log2(Sets); Tag is a shift, not a division
 	tags     []uint64 // invalidTag marks an invalid way
-	use      []uint64 // LRU stamps
-	ref      []bool   // NRU reference bits
-	demo     []bool   // LRU demotion marks (preferred victims)
+	rep      []uint8  // per-line replacement byte
+	next     []uint8  // LRU: per-set next stamp; past stampMask the set re-ranks
 	data     []T
 	live     []int16 // valid-way count per set (O(1) full-set detection)
-	tick     uint64
 }
+
+const (
+	// stampMask selects an LRU line's per-set use stamp.
+	stampMask = 0x7f
+	// notDemoted is set on every LRU line that is not demoted, which
+	// orders demoted lines before all others.
+	notDemoted = 0x80
+)
 
 // New constructs an empty array. The set count must be a positive power
 // of two: SetIndex has always masked with Sets-1, so this was an
-// implicit requirement of every caller; it is now enforced.
+// implicit requirement of every caller; it is now enforced. Ways must be
+// positive and, under LRU, at most MaxLRUWays.
 func New[T any](geo Geometry, policy Policy) *Array[T] {
 	if geo.Sets <= 0 || geo.Sets&(geo.Sets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d is not a positive power of two", geo.Sets))
+	}
+	if geo.Ways <= 0 || policy == LRU && geo.Ways > MaxLRUWays {
+		panic(fmt.Sprintf("cache: %d ways; an array needs at least 1 way and an LRU array at most MaxLRUWays (%d)",
+			geo.Ways, MaxLRUWays))
 	}
 	n := geo.Blocks()
 	a := &Array[T]{
@@ -97,15 +122,12 @@ func New[T any](geo Geometry, policy Policy) *Array[T] {
 		policy:   policy,
 		tagShift: uint8(bits.TrailingZeros64(uint64(geo.Sets))),
 		tags:     make([]uint64, n),
+		rep:      make([]uint8, n),
 		data:     make([]T, n),
 		live:     make([]int16, geo.Sets),
 	}
-	switch policy {
-	case LRU:
-		a.use = make([]uint64, n)
-		a.demo = make([]bool, n)
-	case NRU:
-		a.ref = make([]bool, n)
+	if policy == LRU {
+		a.next = make([]uint8, geo.Sets)
 	}
 	for i := range a.tags {
 		a.tags[i] = invalidTag
@@ -200,17 +222,54 @@ func (a *Array[T]) Contains(blockAddr uint64) bool {
 }
 
 // Touch marks (set, way) most recently used (LRU) or referenced (NRU).
-// A touch rescinds any earlier demotion.
+// A touch rescinds any earlier demotion. Under LRU it stores the set's
+// next stamp; a set that has run out of stamps is re-ranked first.
 func (a *Array[T]) Touch(set, way int) {
 	i := a.idx(set, way)
 	switch a.policy {
 	case LRU:
-		a.tick++
-		a.use[i] = a.tick
-		a.demo[i] = false
+		s := a.next[set]
+		if s > stampMask {
+			s = a.rerank(set, way)
+		}
+		a.rep[i] = notDemoted | s
+		a.next[set] = s + 1
 	case NRU:
-		a.ref[i] = true
+		a.rep[i] = 1
 	}
+}
+
+// rerank renumbers the stamps of set's valid ways other than skip (the
+// way being touched) to 0..n-1 in their current order, keeps their
+// demotion bits, and returns n, the first free stamp. Every comparison
+// Victim, VictimWhere and recencyRank make is between two valid ways'
+// bytes, and renumbering in order preserves each one. The valid stamps
+// are distinct, so a 128-bit occupancy mask ranks them without sorting:
+// a way's new stamp is the count of occupied stamps below its own.
+// Because n < MaxLRUWays, a set re-ranks at most once per 64 touches.
+func (a *Array[T]) rerank(set, skip int) uint8 {
+	base := set * a.geo.Ways
+	tags := a.tags[base : base+a.geo.Ways]
+	rep := a.rep[base : base+len(tags)]
+	var occ [2]uint64
+	for w, r := range rep {
+		if w != skip && tags[w] != invalidTag {
+			s := r & stampMask
+			occ[s>>6] |= 1 << (s & 63)
+		}
+	}
+	for w, r := range rep {
+		if w == skip || tags[w] == invalidTag {
+			continue
+		}
+		s := r & stampMask
+		below := bits.OnesCount64(occ[0] & (1<<s - 1)) // all of occ[0] once s >= 64
+		if s >= 64 {
+			below += bits.OnesCount64(occ[1] & (1<<(s-64) - 1))
+		}
+		rep[w] = r&notDemoted | uint8(below)
+	}
+	return uint8(bits.OnesCount64(occ[0]) + bits.OnesCount64(occ[1]))
 }
 
 // Demote marks (set, way) a preferred victim: demoted lines are
@@ -223,9 +282,9 @@ func (a *Array[T]) Demote(set, way int) {
 	i := a.idx(set, way)
 	switch a.policy {
 	case LRU:
-		a.demo[i] = true
+		a.rep[i] &^= notDemoted
 	case NRU:
-		a.ref[i] = false
+		a.rep[i] = 0
 	}
 }
 
@@ -249,16 +308,12 @@ func (a *Array[T]) FreeWay(set int) (way int, ok bool) {
 func (a *Array[T]) Victim(set int) int {
 	if a.policy == LRU {
 		base := set * a.geo.Ways
-		n := a.geo.Ways
-		tags := a.tags[base : base+n]
-		use := a.use[base : base+n]
-		demo := a.demo[base : base+n]
-		best := -1
-		bestUse := ^uint64(0)
-		bestDemo := false
-		for w := 0; w < n; w++ {
-			if tags[w] != invalidTag && a.older(demo[w], use[w], bestDemo, bestUse) {
-				best, bestUse, bestDemo = w, use[w], demo[w]
+		tags := a.tags[base : base+a.geo.Ways]
+		rep := a.rep[base : base+len(tags)]
+		best, bestRep := -1, notDemoted<<1 // above every byte
+		for w := range tags {
+			if tags[w] != invalidTag && int(rep[w]) < bestRep {
+				best, bestRep = w, int(rep[w])
 			}
 		}
 		if best < 0 {
@@ -273,37 +328,23 @@ func (a *Array[T]) Victim(set int) int {
 	return w
 }
 
-// older reports whether a line with (demoted, use) is victimized before
-// one with (bestDemoted, bestUse): demoted lines first, then oldest use
-// stamp. Strict comparison keeps the lowest-way tie-break of the
-// callers' ascending scans.
-func (a *Array[T]) older(demo bool, use uint64, bestDemo bool, bestUse uint64) bool {
-	if demo != bestDemo {
-		return demo
-	}
-	return use < bestUse
-}
-
 // VictimWhere selects the replacement victim among valid ways satisfying
-// eligible. Under LRU it is the eligible way with the oldest use stamp,
-// demoted lines before all others; under NRU it is the first eligible
-// way with a clear reference bit, clearing all bits first when every
-// eligible way is referenced. The payload pointer passed to eligible is
-// valid only for the duration of the call.
+// eligible. Under LRU it is the eligible way with the smallest
+// replacement byte: demoted lines before all others, then the oldest use
+// stamp. Under NRU it is the first eligible way with a clear reference
+// bit, clearing all bits first when every eligible way is referenced.
+// The payload pointer passed to eligible is valid only for the duration
+// of the call.
 func (a *Array[T]) VictimWhere(set int, eligible func(way int, payload *T) bool) (way int, ok bool) {
 	base := set * a.geo.Ways
 	switch a.policy {
 	case LRU:
-		n := a.geo.Ways
-		tags := a.tags[base : base+n]
-		use := a.use[base : base+n]
-		demo := a.demo[base : base+n]
-		best := -1
-		bestUse := ^uint64(0)
-		bestDemo := false
-		for w := 0; w < n; w++ {
-			if tags[w] != invalidTag && eligible(w, &a.data[base+w]) && a.older(demo[w], use[w], bestDemo, bestUse) {
-				best, bestUse, bestDemo = w, use[w], demo[w]
+		tags := a.tags[base : base+a.geo.Ways]
+		rep := a.rep[base : base+len(tags)]
+		best, bestRep := -1, notDemoted<<1
+		for w := range tags {
+			if tags[w] != invalidTag && int(rep[w]) < bestRep && eligible(w, &a.data[base+w]) {
+				best, bestRep = w, int(rep[w])
 			}
 		}
 		return best, best >= 0
@@ -316,7 +357,7 @@ func (a *Array[T]) VictimWhere(set int, eligible func(way int, payload *T) bool)
 					continue
 				}
 				any = true
-				if !a.ref[i] {
+				if a.rep[i] == 0 {
 					return w, true
 				}
 			}
@@ -327,7 +368,7 @@ func (a *Array[T]) VictimWhere(set int, eligible func(way int, payload *T) bool)
 			for w := 0; w < a.geo.Ways; w++ {
 				i := base + w
 				if a.tags[i] != invalidTag && eligible(w, &a.data[i]) {
-					a.ref[i] = false
+					a.rep[i] = 0
 				}
 			}
 		}
@@ -357,13 +398,6 @@ func (a *Array[T]) Invalidate(set, way int) {
 	a.tags[i] = invalidTag
 	var zero T
 	a.data[i] = zero
-	switch a.policy {
-	case LRU:
-		a.use[i] = 0
-		a.demo[i] = false
-	case NRU:
-		a.ref[i] = false
-	}
 }
 
 // Payload returns a pointer to the payload at (set, way) for in-place
@@ -418,7 +452,7 @@ func (a *Array[T]) AppendState(buf []byte, enc func([]byte, *T) []byte) []byte {
 			switch a.policy {
 			case LRU:
 				rank := byte(a.recencyRank(set, w))
-				if a.demo[i] {
+				if a.rep[i]&notDemoted == 0 {
 					// The demotion mark outlives the current victim order (it
 					// steers victim choice until the line is touched), so it is
 					// protocol-visible state beyond the rank.
@@ -426,11 +460,7 @@ func (a *Array[T]) AppendState(buf []byte, enc func([]byte, *T) []byte) []byte {
 				}
 				buf = append(buf, rank)
 			case NRU:
-				if a.ref[i] {
-					buf = append(buf, 1)
-				} else {
-					buf = append(buf, 0)
-				}
+				buf = append(buf, a.rep[i])
 			}
 			if enc != nil {
 				buf = enc(buf, &a.data[i])
@@ -442,27 +472,15 @@ func (a *Array[T]) AppendState(buf []byte, enc func([]byte, *T) []byte) []byte {
 }
 
 // recencyRank counts the valid ways of set that the LRU policy would
-// victimize before (set, way): demoted before non-demoted, then
-// strictly older stamps, then equal stamps at a lower way index (Victim
-// breaks ties toward low ways). O(ways²) per set, fine at
-// fingerprinting scale.
+// victimize before (set, way): those with a smaller replacement byte.
+// The valid bytes of a set are distinct, so ranks never tie. O(ways) per
+// line, fine at fingerprinting scale.
 func (a *Array[T]) recencyRank(set, way int) int {
 	base := set * a.geo.Ways
-	self := a.use[base+way]
-	selfDemo := a.demo[base+way]
+	self := a.rep[base+way]
 	rank := 0
 	for w := 0; w < a.geo.Ways; w++ {
-		i := base + w
-		if w == way || a.tags[i] == invalidTag {
-			continue
-		}
-		if a.demo[i] != selfDemo {
-			if a.demo[i] {
-				rank++
-			}
-			continue
-		}
-		if u := a.use[i]; u < self || (u == self && w < way) {
+		if i := base + w; a.tags[i] != invalidTag && a.rep[i] < self {
 			rank++
 		}
 	}

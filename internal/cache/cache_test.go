@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -207,4 +209,31 @@ func TestPayloadPanicsOnInvalid(t *testing.T) {
 	}()
 	a := New[int](Geometry{Sets: 1, Ways: 1}, LRU)
 	a.Payload(0, 0)
+}
+
+// TestNewRefusesUnrankableWays pins the associativity bounds New
+// enforces: every array needs a way, and an LRU array ranks at most
+// MaxLRUWays. The refusal names the bound.
+func TestNewRefusesUnrankableWays(t *testing.T) {
+	for _, tc := range []struct {
+		ways   int
+		policy Policy
+		ok     bool
+	}{
+		{0, LRU, false}, {1, LRU, true}, {64, LRU, true}, {65, LRU, false},
+		{0, NRU, false}, {1, NRU, true}, {64, NRU, true}, {65, NRU, true},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if (r == nil) != tc.ok {
+					t.Fatalf("New(%d ways, policy %d): panic %v, want ok = %v", tc.ways, tc.policy, r, tc.ok)
+				}
+				if r != nil && !strings.Contains(fmt.Sprint(r), "MaxLRUWays") {
+					t.Fatalf("New(%d ways) refusal %q does not name MaxLRUWays", tc.ways, r)
+				}
+			}()
+			New[int](Geometry{Sets: 4, Ways: tc.ways}, tc.policy)
+		}()
+	}
 }

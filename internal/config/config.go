@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"repro/internal/backend"
+	"repro/internal/cache"
 	"repro/internal/coher"
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -28,6 +29,11 @@ import (
 // ErrTooManyCores is returned by Validate when a preset's core count
 // exceeds what the width-parameterized sharer sets can represent.
 var ErrTooManyCores = errors.New("config: core count exceeds the representable width")
+
+// ErrBadWays is returned by Validate when a preset's LLC or private-cache
+// associativity is outside 1..cache.MaxLRUWays: those caches replace by
+// LRU, and an LRU array ranks at most MaxLRUWays ways.
+var ErrBadWays = errors.New("config: associativity outside 1..cache.MaxLRUWays")
 
 // Preset is a socket's physical organization.
 type Preset struct {
@@ -105,9 +111,10 @@ func wideServer(cores, scale int) Preset {
 	}
 }
 
-// Validate rejects a preset whose core count no structure in the system
-// can represent, with a named error so CLI layers can build refusal
-// tables instead of panicking deep inside CoreSet operations.
+// Validate rejects a preset whose core count or LRU associativity no
+// structure in the system can represent, with a named error so CLI
+// layers can build refusal tables instead of panicking deep inside
+// CoreSet operations or cache construction.
 func (p Preset) Validate() error {
 	if p.Cores <= 0 {
 		return fmt.Errorf("config: preset %q has %d cores", p.Name, p.Cores)
@@ -115,6 +122,15 @@ func (p Preset) Validate() error {
 	if p.Cores > coher.MaxRepresentableCores {
 		return fmt.Errorf("%w: preset %q wants %d cores, the sharer-set width caps at %d",
 			ErrTooManyCores, p.Name, p.Cores, coher.MaxRepresentableCores)
+	}
+	for _, c := range [...]struct {
+		field string
+		ways  int
+	}{{"LLCWays", p.LLCWays}, {"CPU.L1Ways", p.CPU.L1Ways}, {"CPU.L2Ways", p.CPU.L2Ways}} {
+		if c.ways < 1 || c.ways > cache.MaxLRUWays {
+			return fmt.Errorf("%w: preset %q has %s = %d, want 1..%d",
+				ErrBadWays, p.Name, c.field, c.ways, cache.MaxLRUWays)
+		}
 	}
 	return nil
 }

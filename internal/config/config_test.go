@@ -1,6 +1,7 @@
 package config
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -83,4 +84,32 @@ func TestScaleValidation(t *testing.T) {
 		}
 	}()
 	TableI(3)
+}
+
+// TestValidateRefusesUnrankableWays is the associativity refusal table:
+// the LLC and both private caches replace by LRU, so each must have
+// 1..cache.MaxLRUWays ways, and Validate names the violation before any
+// cache is built.
+func TestValidateRefusesUnrankableWays(t *testing.T) {
+	fields := map[string]func(*Preset, int){
+		"LLCWays":    func(p *Preset, w int) { p.LLCWays = w },
+		"CPU.L1Ways": func(p *Preset, w int) { p.CPU.L1Ways = w },
+		"CPU.L2Ways": func(p *Preset, w int) { p.CPU.L2Ways = w },
+	}
+	for name, set := range fields {
+		for _, tc := range []struct {
+			ways int
+			ok   bool
+		}{{0, false}, {1, true}, {64, true}, {65, false}} {
+			p := TableI(8)
+			set(&p, tc.ways)
+			err := p.Validate()
+			if (err == nil) != tc.ok || (err != nil && !errors.Is(err, ErrBadWays)) {
+				t.Fatalf("%s = %d: Validate() = %v, want ok = %v or ErrBadWays", name, tc.ways, err, tc.ok)
+			}
+		}
+	}
+	if err := TableI(8).Validate(); err != nil {
+		t.Fatalf("Table I preset refused: %v", err)
+	}
 }

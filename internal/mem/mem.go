@@ -53,9 +53,9 @@ type BlockMeta struct {
 	// DirEvict records that the block's socket-level partition holds an
 	// evicted socket-level directory entry (scheme 2 of §III-D5).
 	DirEvict bool
-	// SocketEntry is the content of the socket-level partition, valid
-	// only when DirEvict is set.
-	SocketEntry coher.SocketEntry
+	// SocketEntry is the content of the socket-level partition as a
+	// coher.SocketEntry.Pack word, valid only when DirEvict is set.
+	SocketEntry uint64
 }
 
 // seg reads one socket's segment without forcing allocation.
@@ -234,7 +234,7 @@ func (m *Memory) Restore(addr coher.Addr) {
 func (m *Memory) SetDirEvict(addr coher.Addr, e coher.SocketEntry) {
 	b := m.meta(addr)
 	b.DirEvict = true
-	b.SocketEntry = e
+	b.SocketEntry = e.Pack()
 }
 
 // DirEvict reads the DirEvict bit and, when set, the stored socket-level
@@ -244,14 +244,14 @@ func (m *Memory) DirEvict(addr coher.Addr) (coher.SocketEntry, bool) {
 	if b == nil || !b.DirEvict {
 		return coher.SocketEntry{}, false
 	}
-	return b.SocketEntry, true
+	return coher.UnpackSocketEntry(b.SocketEntry), true
 }
 
 // ClearDirEvict clears the DirEvict bit.
 func (m *Memory) ClearDirEvict(addr coher.Addr) {
 	if b := m.blocks[addr]; b != nil {
 		b.DirEvict = false
-		b.SocketEntry = coher.SocketEntry{}
+		b.SocketEntry = 0
 		m.gc(addr, b)
 	}
 }
@@ -336,8 +336,9 @@ func (m *Memory) AppendState(buf []byte) []byte {
 			buf = seg.AppendCanonical(buf)
 		}
 		if b.DirEvict {
-			buf = append(buf, byte(b.SocketEntry.State), byte(b.SocketEntry.Owner))
-			s := uint64(b.SocketEntry.Sharers)
+			e := coher.UnpackSocketEntry(b.SocketEntry)
+			buf = append(buf, byte(e.State), byte(e.Owner))
+			s := uint64(e.Sharers)
 			buf = append(buf,
 				byte(s), byte(s>>8), byte(s>>16), byte(s>>24),
 				byte(s>>32), byte(s>>40), byte(s>>48), byte(s>>56))

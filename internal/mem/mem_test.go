@@ -80,6 +80,56 @@ func TestDirEvictBit(t *testing.T) {
 	}
 }
 
+// TestDirEvictPackedRoundTrip stores socket-level entries through the
+// packed DirEvict partition at 1, 4 and 56 sockets (the widest a packed
+// entry holds): every state, the highest owner and sharer the system
+// has, and stale fields beside the state, all of which DirEvict must
+// return exactly. AppendState still writes the unpacked state, owner
+// and sharer bytes.
+func TestDirEvictPackedRoundTrip(t *testing.T) {
+	for _, sockets := range []int{1, 4, coher.MaxPackedSockets} {
+		m := MustNew(sockets, 4)
+		top := sockets - 1
+		var all coher.SocketSet
+		for s := 0; s < sockets; s++ {
+			all.Add(s)
+		}
+		entries := []coher.SocketEntry{
+			{State: coher.SockShared, Sharers: all},
+			{State: coher.SockOwned, Owner: top},
+			{State: coher.SockCorrupted, Owner: top, Sharers: all},
+			{State: coher.SockInvalid, Owner: top / 2, Sharers: 1 << top},
+		}
+		for i, e := range entries {
+			addr := coher.Addr(0x40 + i)
+			m.SetDirEvict(addr, e)
+			got, ok := m.DirEvict(addr)
+			if !ok || got != e {
+				t.Fatalf("%d sockets: DirEvict = %+v ok=%v, want %+v", sockets, got, ok, e)
+			}
+			one := MustNew(sockets, 4)
+			one.SetDirEvict(addr, e)
+			want := []byte{byte(addr), byte(addr >> 8), 0, 0, 0, 0, 0, 0, 2}
+			for s := 0; s < sockets; s++ {
+				want = (coher.Entry{}).AppendCanonical(want)
+			}
+			sh := uint64(e.Sharers)
+			want = append(want, byte(e.State), byte(e.Owner),
+				byte(sh), byte(sh>>8), byte(sh>>16), byte(sh>>24),
+				byte(sh>>32), byte(sh>>40), byte(sh>>48), byte(sh>>56))
+			if got := one.AppendState(nil); string(got) != string(want) {
+				t.Fatalf("%d sockets, entry %+v: AppendState = %x, want %x", sockets, e, got, want)
+			}
+		}
+		for i := range entries {
+			m.ClearDirEvict(coher.Addr(0x40 + i))
+		}
+		if m.MetaLive() != 0 {
+			t.Fatalf("%d sockets: %d blocks keep metadata after ClearDirEvict", sockets, m.MetaLive())
+		}
+	}
+}
+
 func TestSocketBoundEnforced(t *testing.T) {
 	// 128 cores/socket: at most 3 sockets fit the full-map partitioning.
 	m, err := New(3, 128)
