@@ -44,8 +44,6 @@ func auditCmd(ctx context.Context, args []string) int {
 	var seed uint64
 	fs.Uint64Var(&seed, "seed", 1, "campaign seed (workloads and fault sequence)")
 	fs.IntVar(&o.Workers, "workers", o.Workers, "parallel campaign cells (output is identical at any value)")
-	domainWorkers := fs.Int("domain-workers", 1,
-		"intra-run epoch-scheduler workers; audit requires 1 (fault injection observes every step through the serial scheduler's hook)")
 	fs.IntVar(&o.Retries, "retries", o.Retries, "extra attempts for a panicking cell before it is recorded as failed")
 	fs.StringVar(&o.CrashDir, "crash", o.CrashDir, "directory for panic replay bundles (\"\" disables)")
 	fs.DurationVar(&o.JobTimeout, "job-timeout", 0, "per-cell watchdog: cancel a cell running longer than this, dump diagnostics, record TIMEOUT (0 = off)")
@@ -85,10 +83,6 @@ func auditCmd(ctx context.Context, args []string) int {
 	}
 	if *auditEvery < 0 {
 		fmt.Fprintf(os.Stderr, "audit: -audit-every must be non-negative, got %d\n", *auditEvery)
-		return 2
-	}
-	if *domainWorkers > 1 {
-		fmt.Fprintln(os.Stderr, "audit: -domain-workers must be 1: fault campaigns drive every step through the serial scheduler's hook (injectors and the invariant auditor observe globally ordered steps), which the epoch-barrier domain scheduler does not provide")
 		return 2
 	}
 	if *rateScale < 0 {

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -21,16 +22,19 @@ import (
 
 // BenchFileVersion tags the BENCH_*.json schema; bump it when fields
 // change meaning. The conventional output name is BENCH_<v>.json.
-const BenchFileVersion = 7
+const BenchFileVersion = 8
 
 // Named comparison failures, so callers (and the regression-gate table
 // test) can distinguish an unusable baseline from a real regression.
 var (
 	// ErrBaselineMissing: the -compare baseline file cannot be read.
-	ErrBaselineMissing = errors.New("bench: baseline file missing")
+	ErrBaselineMissing = errors.New("baseline file missing")
 	// ErrBaselineVersion: the baseline's schema version differs from
 	// BenchFileVersion, so its entries are not comparable.
-	ErrBaselineVersion = errors.New("bench: baseline schema version mismatch")
+	ErrBaselineVersion = errors.New("baseline schema version mismatch")
+	// ErrBaselineConfig: the baseline was measured at another -scale,
+	// -accesses, -seed or -quick, so its entries time another workload.
+	ErrBaselineConfig = errors.New("baseline measured at a different config")
 )
 
 // benchEntry is one measured benchmark: an experiment at a worker
@@ -43,15 +47,12 @@ type benchEntry struct {
 	// experiment restricted to one protocol backend); omitted for the
 	// classic whole-experiment entries, so pre-backend baselines stay
 	// comparable entry for entry.
-	Backend string `json:"backend,omitempty"`
-	Workers int    `json:"workers"`
-	// DomainWorkers is the intra-run epoch-scheduler worker count
-	// (harness.Options.DomainWorkers); omitted for serial stepping.
-	DomainWorkers int     `json:"domain_workers,omitempty"`
-	NsPerOp       int64   `json:"ns_per_op"`
-	AllocsPerOp   int64   `json:"allocs_per_op"`
-	BytesPerOp    int64   `json:"bytes_per_op"`
-	SamplesNs     []int64 `json:"samples_ns"`
+	Backend     string  `json:"backend,omitempty"`
+	Workers     int     `json:"workers"`
+	NsPerOp     int64   `json:"ns_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
+	SamplesNs   []int64 `json:"samples_ns"`
 	// Parallelism is the realized speedup (summed sim time over wall
 	// time) of the last run; present only for Workers > 1.
 	Parallelism float64 `json:"parallelism,omitempty"`
@@ -71,9 +72,9 @@ type benchPreChange struct {
 	Fig18MedianNs    int64   `json:"fig18_median_ns"`
 	Fig18AllocsPerOp int64   `json:"fig18_allocs_per_op"`
 	Fig18BytesPerOp  int64   `json:"fig18_bytes_per_op"`
-	// Multisocket receipts for the domain-scheduler PR: the serial
-	// multisocket experiment measured on the commit before the epoch
-	// scheduler landed, same machine and settings.
+	// Multisocket receipts: the serial multisocket experiment measured
+	// on the commit before the since-deleted epoch scheduler landed,
+	// same machine and settings.
 	MultisocketSamplesNs   []int64 `json:"multisocket_samples_ns,omitempty"`
 	MultisocketMedianNs    int64   `json:"multisocket_median_ns,omitempty"`
 	MultisocketAllocsPerOp int64   `json:"multisocket_allocs_per_op,omitempty"`
@@ -116,11 +117,7 @@ func benchCmd(ctx context.Context, args []string) int {
 		"comma-separated experiments to benchmark serially, or `all`")
 	parIDs := fs.String("parallel", "fig18",
 		"comma-separated experiments to additionally benchmark on the parallel engine (\"\" disables)")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker count for the -parallel runs")
-	domIDs := fs.String("domain", "fig18,multisocket",
-		"comma-separated experiments to additionally benchmark under the epoch-barrier domain scheduler (\"\" disables)")
-	domWorkers := fs.String("domain-workers", "2,4",
-		"comma-separated intra-run domain-worker counts for the -domain runs (\"\" disables)")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker count for the -parallel runs (at least 1)")
 	backendsFlag := fs.String("backends", "all",
 		"comma-separated protocol backends to benchmark individually (each a figbackends run restricted to one backend; \"\" disables)")
 	count := fs.Int("count", 3, "runs per benchmark; ns/op is the fastest run")
@@ -128,17 +125,11 @@ func benchCmd(ctx context.Context, args []string) int {
 		"output file; an existing file's pre_change block is carried forward")
 	compare := fs.String("compare", "", "baseline BENCH JSON to regression-gate against")
 	maxRegress := fs.Float64("max-regress", 0.20,
-		"fail if serial Fig18 ns/op exceeds the -compare baseline by more than this fraction")
+		"fail if serial Fig18 ns/op exceeds the -compare baseline by more than this fraction (finite, at least 0)")
 	prof := addProfFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	stopProf, err := prof.start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		return 2
-	}
-	defer stopProf()
 	o.Seed = seed
 	if err := o.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
@@ -148,7 +139,14 @@ func benchCmd(ctx context.Context, args []string) int {
 		fmt.Fprintln(os.Stderr, "bench: -count must be at least 1")
 		return 2
 	}
-
+	if *workers < 1 {
+		fmt.Fprintf(os.Stderr, "bench: -workers must be at least 1, got %d\n", *workers)
+		return 2
+	}
+	if math.IsNaN(*maxRegress) || math.IsInf(*maxRegress, 0) || *maxRegress < 0 {
+		fmt.Fprintf(os.Stderr, "bench: -max-regress must be a finite fraction of at least 0, got %v\n", *maxRegress)
+		return 2
+	}
 	serial, err := benchIDs(*ids)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
@@ -159,16 +157,19 @@ func benchCmd(ctx context.Context, args []string) int {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		return 2
 	}
-	domain, err := benchIDs(*domIDs)
+	var bids []backend.ID
+	if *backendsFlag != "" {
+		if bids, err = backend.ParseList(*backendsFlag); err != nil {
+			fmt.Fprintln(os.Stderr, "bench: -backends:", err)
+			return 2
+		}
+	}
+	stopProf, err := prof.start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		return 2
 	}
-	dwCounts, err := parseWorkerList(*domWorkers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench:", err)
-		return 2
-	}
+	defer stopProf()
 
 	bf := benchFile{
 		Version:    BenchFileVersion,
@@ -182,7 +183,7 @@ func benchCmd(ctx context.Context, args []string) int {
 			fmt.Fprintln(os.Stderr, "bench: interrupted")
 			return harness.ExitInterrupted
 		}
-		ent, err := measureBest(ctx, id, o, 1, 1, *count)
+		ent, err := measureBest(ctx, id, o, 1, *count)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			return 1
@@ -196,7 +197,7 @@ func benchCmd(ctx context.Context, args []string) int {
 			fmt.Fprintln(os.Stderr, "bench: interrupted")
 			return harness.ExitInterrupted
 		}
-		ent, err := measureBest(ctx, id, o, *workers, 1, *count)
+		ent, err := measureBest(ctx, id, o, *workers, *count)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			return 1
@@ -205,61 +206,39 @@ func benchCmd(ctx context.Context, args []string) int {
 		fmt.Printf("%-14s workers=%-2d       %12d ns/op  %9d B/op  %7d allocs/op  %.1fx realized\n",
 			id, ent.Workers, ent.NsPerOp, ent.BytesPerOp, ent.AllocsPerOp, ent.Parallelism)
 	}
-	for _, dw := range dwCounts {
-		for _, id := range domain {
-			if ctx.Err() != nil {
-				fmt.Fprintln(os.Stderr, "bench: interrupted")
-				return harness.ExitInterrupted
-			}
-			ent, err := measureBest(ctx, id, o, 1, dw, *count)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				return 1
-			}
-			bf.Results = append(bf.Results, ent)
-			fmt.Printf("%-14s domain-workers=%-2d %10d ns/op  %9d B/op  %7d allocs/op\n",
-				id, dw, ent.NsPerOp, ent.BytesPerOp, ent.AllocsPerOp)
+	for _, bid := range bids {
+		if ctx.Err() != nil {
+			fmt.Fprintln(os.Stderr, "bench: interrupted")
+			return harness.ExitInterrupted
 		}
-	}
-	if *backendsFlag != "" {
-		bids, err := backend.ParseList(*backendsFlag)
+		bo := o
+		bo.Backends = string(bid)
+		ent, err := measureBest(ctx, "figbackends", bo, 1, *count)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench: -backends:", err)
-			return 2
+			fmt.Fprintln(os.Stderr, "bench:", err)
+			return 1
 		}
-		for _, bid := range bids {
-			if ctx.Err() != nil {
-				fmt.Fprintln(os.Stderr, "bench: interrupted")
-				return harness.ExitInterrupted
-			}
-			bo := o
-			bo.Backends = string(bid)
-			ent, err := measureBest(ctx, "figbackends", bo, 1, 1, *count)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				return 1
-			}
-			ent.Backend = string(bid)
-			bf.Results = append(bf.Results, ent)
-			fmt.Printf("%-14s backend=%-13s %10d ns/op  %9d B/op  %7d allocs/op\n",
-				"figbackends", bid, ent.NsPerOp, ent.BytesPerOp, ent.AllocsPerOp)
-		}
-		if len(bids) > 0 {
-			bf.Notes = append(bf.Notes,
-				"backend entries are the figbackends sweep restricted to one protocol backend each, measured serially (workers=1); they compare protocol cost, not host parallelism")
-		}
+		ent.Backend = string(bid)
+		bf.Results = append(bf.Results, ent)
+		fmt.Printf("%-14s backend=%-13s %10d ns/op  %9d B/op  %7d allocs/op\n",
+			"figbackends", bid, ent.NsPerOp, ent.BytesPerOp, ent.AllocsPerOp)
 	}
-
-	if len(domain) > 0 && len(dwCounts) > 0 && runtime.GOMAXPROCS(0) == 1 {
+	if len(bids) > 0 {
 		bf.Notes = append(bf.Notes,
-			"domain-worker entries were measured with GOMAXPROCS=1: they show the epoch scheduler's bookkeeping overhead, not a wall-clock speedup; byte-identical output is enforced by the harness serial-equivalence suite")
+			"backend entries are the figbackends sweep restricted to one protocol backend each, measured serially (workers=1); they compare protocol cost, not host parallelism")
 	}
 
-	if e := bf.find("fig18", 1, 0); e != nil && bf.PreChange != nil && e.NsPerOp > 0 {
+	if e := bf.find("fig18", 1); e != nil && bf.PreChange != nil && e.NsPerOp > 0 {
 		bf.Fig18ImprovementX = float64(bf.PreChange.Fig18MedianNs) / float64(e.NsPerOp)
 		fmt.Printf("fig18 serial vs pre-change median: %.2fx\n", bf.Fig18ImprovementX)
 	}
 
+	// Gate before writing: -o may name the -compare baseline itself, and
+	// the gate must read the committed numbers, not this run's.
+	var gateErr error
+	if *compare != "" {
+		gateErr = compareBench(bf, *compare, *maxRegress)
+	}
 	if *out != "" {
 		b, err := json.MarshalIndent(bf, "", "  ")
 		if err != nil {
@@ -274,11 +253,11 @@ func benchCmd(ctx context.Context, args []string) int {
 	}
 
 	if *compare != "" {
-		if err := compareBench(bf, *compare, *maxRegress); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
+		if gateErr != nil {
+			fmt.Fprintln(os.Stderr, "bench:", gateErr)
 			return 1
 		}
-		fmt.Printf("within %d%% of baseline %s\n", int(*maxRegress*100), *compare)
+		fmt.Printf("within %.4g%% of baseline %s\n", *maxRegress*100, *compare)
 	}
 	return 0
 }
@@ -306,32 +285,15 @@ func benchIDs(s string) ([]string, error) {
 	return ids, nil
 }
 
-// parseWorkerList expands a comma-separated list of worker counts;
-// "" is empty.
-func parseWorkerList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &n); err != nil || n < 1 {
-			return nil, fmt.Errorf("bad worker count %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 // measureBest measures one experiment count times and keeps the
 // fastest run (accumulating raw samples).
-func measureBest(ctx context.Context, id string, o harness.Options, workers, dw, count int) (benchEntry, error) {
-	ent, err := measure(ctx, id, o, workers, dw)
+func measureBest(ctx context.Context, id string, o harness.Options, workers, count int) (benchEntry, error) {
+	ent, err := measure(ctx, id, o, workers)
 	if err != nil {
 		return benchEntry{}, err
 	}
 	for i := 1; i < count; i++ {
-		more, err := measure(ctx, id, o, workers, dw)
+		more, err := measure(ctx, id, o, workers)
 		if err != nil {
 			return benchEntry{}, err
 		}
@@ -343,19 +305,13 @@ func measureBest(ctx context.Context, id string, o harness.Options, workers, dw,
 // measure runs one experiment under testing.Benchmark. workers == 1
 // measures the serial path (the one the determinism goldens pin);
 // workers > 1 measures the parallel engine and reports its realized
-// parallelism. dw > 1 additionally steps each run under the
-// epoch-barrier domain scheduler (harness.Options.DomainWorkers) —
-// output stays byte-identical, only the stepping schedule changes.
-func measure(ctx context.Context, id string, o harness.Options, workers, dw int) (benchEntry, error) {
+// parallelism.
+func measure(ctx context.Context, id string, o harness.Options, workers int) (benchEntry, error) {
 	e, err := harness.Get(id)
 	if err != nil {
 		return benchEntry{}, err
 	}
 	o.Workers = workers
-	o.DomainWorkers = dw
-	if dw <= 1 {
-		dw = 0 // serial stepping; keep the JSON field omitted
-	}
 	var par float64
 	var runErr error
 	r := testing.Benchmark(func(b *testing.B) {
@@ -377,14 +333,13 @@ func measure(ctx context.Context, id string, o harness.Options, workers, dw int)
 		return benchEntry{}, fmt.Errorf("%s: %w", id, runErr)
 	}
 	return benchEntry{
-		Experiment:    id,
-		Workers:       workers,
-		DomainWorkers: dw,
-		NsPerOp:       r.NsPerOp(),
-		AllocsPerOp:   r.AllocsPerOp(),
-		BytesPerOp:    r.AllocedBytesPerOp(),
-		SamplesNs:     []int64{r.NsPerOp()},
-		Parallelism:   par,
+		Experiment:  id,
+		Workers:     workers,
+		NsPerOp:     r.NsPerOp(),
+		AllocsPerOp: r.AllocsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+		SamplesNs:   []int64{r.NsPerOp()},
+		Parallelism: par,
 	}, nil
 }
 
@@ -401,17 +356,17 @@ func fastest(a, b benchEntry) benchEntry {
 	return a
 }
 
-func (f *benchFile) find(id string, workers, dw int) *benchEntry {
-	return f.findBackend(id, "", workers, dw)
+func (f *benchFile) find(id string, workers int) *benchEntry {
+	return f.findBackend(id, "", workers)
 }
 
 // findBackend locates one entry by its full identity, including the
 // backend tag ("" matches the classic untagged entries, which is what
 // keeps pre-backend baselines comparable).
-func (f *benchFile) findBackend(id, backendID string, workers, dw int) *benchEntry {
+func (f *benchFile) findBackend(id, backendID string, workers int) *benchEntry {
 	for i := range f.Results {
 		e := &f.Results[i]
-		if e.Experiment == id && e.Backend == backendID && e.Workers == workers && e.DomainWorkers == dw {
+		if e.Experiment == id && e.Backend == backendID && e.Workers == workers {
 			return e
 		}
 	}
@@ -440,8 +395,9 @@ func loadPreChange(path string) *benchPreChange {
 // file: a regression beyond maxRegress fails the run. Only Fig18 gates
 // — it is the 128-core serial stress benchmark the overhaul targets —
 // but every common entry is reported. A missing baseline fails with
-// ErrBaselineMissing and a schema-version mismatch with
-// ErrBaselineVersion, so CI distinguishes a broken gate setup from a
+// ErrBaselineMissing, a schema-version mismatch with ErrBaselineVersion
+// and a baseline measured at another workload config with
+// ErrBaselineConfig, so CI distinguishes a broken gate setup from a
 // real performance regression.
 func compareBench(cur benchFile, baselinePath string, maxRegress float64) error {
 	raw, err := os.ReadFile(baselinePath)
@@ -456,28 +412,29 @@ func compareBench(cur benchFile, baselinePath string, maxRegress float64) error 
 		return fmt.Errorf("%w: baseline %s is version %d, this build writes version %d",
 			ErrBaselineVersion, baselinePath, base.Version, cur.Version)
 	}
+	if base.Config != cur.Config {
+		return fmt.Errorf("%w: baseline %s was measured at %+v, this run at %+v",
+			ErrBaselineConfig, baselinePath, base.Config, cur.Config)
+	}
 	for _, b := range base.Results {
-		if c := cur.findBackend(b.Experiment, b.Backend, b.Workers, b.DomainWorkers); c != nil && b.NsPerOp > 0 {
+		if c := cur.findBackend(b.Experiment, b.Backend, b.Workers); c != nil && b.NsPerOp > 0 {
 			label := fmt.Sprintf("workers=%d", b.Workers)
 			if b.Backend != "" {
 				label = "backend=" + b.Backend + " " + label
-			}
-			if b.DomainWorkers > 0 {
-				label += fmt.Sprintf(" domain-workers=%d", b.DomainWorkers)
 			}
 			fmt.Printf("vs baseline: %-14s %-24s %+.1f%%\n", b.Experiment, label,
 				100*(float64(c.NsPerOp)/float64(b.NsPerOp)-1))
 		}
 	}
-	b := base.find("fig18", 1, 0)
-	c := cur.find("fig18", 1, 0)
+	b := base.find("fig18", 1)
+	c := cur.find("fig18", 1)
 	if b == nil || c == nil {
 		return fmt.Errorf("comparison needs a serial fig18 entry in both files")
 	}
 	limit := float64(b.NsPerOp) * (1 + maxRegress)
 	if float64(c.NsPerOp) > limit {
-		return fmt.Errorf("fig18 regressed: %d ns/op vs baseline %d (>%d%% over)",
-			c.NsPerOp, b.NsPerOp, int(maxRegress*100))
+		return fmt.Errorf("fig18 regressed: %d ns/op vs baseline %d (>%.4g%% over)",
+			c.NsPerOp, b.NsPerOp, maxRegress*100)
 	}
 	return nil
 }

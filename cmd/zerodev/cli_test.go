@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -45,8 +46,12 @@ func runCaptured(t *testing.T, cmd func() int) (code int, stdout, stderr string)
 // TestMalformedValuesRefused is the table of malformed CLI values that a
 // lenient parser silently maps to another configuration: through a
 // zero-value map lookup (policy, mode), a default branch (config) or an
-// ignored scan error (ratio). Each must exit 2 naming the valid values,
-// with nothing on stdout, before any simulation runs.
+// ignored scan error (ratio). It also holds the values that would size
+// a directory past host memory (ratio), record a meaningless bench
+// entry (workers) or disarm the bench gate (max-regress, where every
+// comparison with NaN is false). Each must exit 2 naming the valid
+// values, with nothing on stdout, before any simulation or measurement
+// runs.
 func TestMalformedValuesRefused(t *testing.T) {
 	small := []string{"-scale", "32", "-accesses", "1000"}
 	single := func(args ...string) func() int {
@@ -55,6 +60,11 @@ func TestMalformedValuesRefused(t *testing.T) {
 	compare := func(args ...string) func() int {
 		return func() int {
 			return compareCmd(context.Background(), append(append(append(small, "-workers", "1"), args...), "canneal"))
+		}
+	}
+	bench := func(args ...string) func() int {
+		return func() int {
+			return benchCmd(context.Background(), append([]string{"-o", filepath.Join(t.TempDir(), "bench.json")}, args...))
 		}
 	}
 	for _, tc := range []struct {
@@ -71,6 +81,17 @@ func TestMalformedValuesRefused(t *testing.T) {
 		{"compare ratio 1/8", compare("-configs", "baseline:1,zerodev:1/8"), "non-negative decimal number"},
 		{"compare ratio 0.l25", compare("-configs", "zerodev:0.l25"), "non-negative decimal number"},
 		{"compare -mode epdd", compare("-mode", "epdd"), "noninclusive, epd, or inclusive"},
+		{"compare ratio -0.5", compare("-configs", "zerodev:-0.5"), "0 to 16"},
+		{"compare ratio 1e9", compare("-configs", "zerodev:1e9"), "0 to 16"},
+		{"single -ratio -0.5", single("-config", "baseline", "-ratio", "-0.5"), "0 to 16"},
+		{"single -ratio NaN", single("-ratio", "NaN"), "0 to 16"},
+		{"single -ratio +Inf", single("-ratio", "+Inf"), "0 to 16"},
+		{"single -ratio 1e9", single("-ratio", "1e9"), "0 to 16"},
+		{"bench -workers 0", bench("-workers", "0"), "at least 1"},
+		{"bench -workers -3", bench("-workers", "-3"), "at least 1"},
+		{"bench -max-regress NaN", bench("-max-regress", "NaN"), "finite fraction of at least 0"},
+		{"bench -max-regress -0.1", bench("-max-regress", "-0.1"), "finite fraction of at least 0"},
+		{"bench -max-regress +Inf", bench("-max-regress", "+Inf"), "finite fraction of at least 0"},
 	} {
 		code, stdout, stderr := runCaptured(t, tc.cmd)
 		if code != 2 {
@@ -92,14 +113,16 @@ func TestWellFormedValuesAccepted(t *testing.T) {
 	for _, mode := range []string{"noninclusive", "EPD", "inclusive"} {
 		for _, cfg := range []string{"baseline", "zerodev", "Unbounded"} {
 			for _, pol := range []string{"spillall", "fpss", "FuseAll"} {
-				if _, err := singleSpec(pre, cfg, 0.125, pol, mode); err != nil {
-					t.Errorf("single -config %s -policy %s -mode %s: %v", cfg, pol, mode, err)
+				for _, ratio := range []float64{0, 0.125, maxDirRatio} {
+					if _, err := singleSpec(pre, cfg, ratio, pol, mode); err != nil {
+						t.Errorf("single -config %s -ratio %g -policy %s -mode %s: %v", cfg, ratio, pol, mode, err)
+					}
 				}
 			}
 		}
 	}
-	names, specs, err := compareSpecs(pre, "baseline:1, zerodev:0,zerodev:0.125,unbounded,secdir:1,mgd:1e-1", "epd")
-	if err != nil || len(names) != 6 || len(specs) != 6 {
+	names, specs, err := compareSpecs(pre, "baseline:1, zerodev:0,zerodev:0.125,unbounded,secdir:1,mgd:1e-1,zerodev:16", "epd")
+	if err != nil || len(names) != 7 || len(specs) != 7 {
 		t.Fatalf("compare configs: %d names, %d specs, err %v", len(names), len(specs), err)
 	}
 	for _, cfg := range []string{"baseline", "zerodev"} {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -139,8 +138,11 @@ func compareSpecs(pre config.Preset, configs, mode string) (names []string, spec
 		var ratio float64
 		if hasRatio {
 			ratio, err = strconv.ParseFloat(ratioStr, 64)
-			if err != nil || ratio < 0 || math.IsInf(ratio, 0) || math.IsNaN(ratio) {
+			if err != nil {
 				return nil, nil, fmt.Errorf("config %q: ratio %q is not a non-negative decimal number (e.g. 0.125)", item, ratioStr)
+			}
+			if err := checkRatio(ratio); err != nil {
+				return nil, nil, fmt.Errorf("config %q: %w", item, err)
 			}
 		}
 		var spec core.SystemSpec

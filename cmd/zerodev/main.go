@@ -34,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -125,8 +126,6 @@ func runCmd(ctx context.Context, args []string) int {
 	fs.Uint64Var(&seed, "seed", 1, "workload synthesis seed")
 	fs.BoolVar(&o.Quick, "quick", false, "trim application lists to a representative subset")
 	fs.IntVar(&o.Workers, "workers", o.Workers, "parallel simulation workers (1 = serial; output is identical either way)")
-	fs.IntVar(&o.DomainWorkers, "domain-workers", o.DomainWorkers,
-		"intra-run epoch-scheduler workers per simulation (1 = serial stepping; output is byte-identical either way)")
 	fs.DurationVar(&o.JobTimeout, "job-timeout", 0, "per-simulation watchdog: cancel a job running longer than this, dump diagnostics, record TIMEOUT (0 = off)")
 	ckptPath := fs.String("checkpoint", filepath.Join("results", "checkpoint", "run.json"),
 		"where completed cells are persisted for -resume (\"\" disables checkpointing)")
@@ -286,10 +285,28 @@ func parseMode(s string) (llc.Mode, error) {
 	return 0, fmt.Errorf("unknown -mode %q (want noninclusive, epd, or inclusive)", s)
 }
 
+// maxDirRatio bounds the directory ratio single and compare accept.
+// Every paper configuration is at most 1×, and a 16× Table I directory
+// at -scale 1 (512 Ki entries) still builds and runs in a fraction of a
+// second; ratios far beyond it exhaust host memory sizing the directory.
+const maxDirRatio = 16
+
+// checkRatio refuses a directory ratio that is negative, not finite, or
+// above maxDirRatio, naming the valid range.
+func checkRatio(r float64) error {
+	if math.IsNaN(r) || r < 0 || r > maxDirRatio {
+		return fmt.Errorf("ratio %g is outside the valid range 0 to %d (a fraction of aggregate L2 blocks, e.g. 0.125)", r, maxDirRatio)
+	}
+	return nil
+}
+
 // singleSpec builds the system single runs from its -config, -ratio,
-// -policy and -mode values. A value that names nothing is refused, not
-// replaced by a default.
+// -policy and -mode values. A value that names nothing, or a ratio
+// checkRatio refuses, is refused, not replaced by a default.
 func singleSpec(pre config.Preset, cfg string, ratio float64, policy, mode string) (core.SystemSpec, error) {
+	if err := checkRatio(ratio); err != nil {
+		return core.SystemSpec{}, err
+	}
 	lm, err := parseMode(mode)
 	if err != nil {
 		return core.SystemSpec{}, err
@@ -317,7 +334,7 @@ func singleCmd(args []string) int {
 	scale := fs.Int("scale", 8, "capacity scale divisor")
 	accesses := fs.Int("accesses", 100000, "memory accesses per core")
 	cfg := fs.String("config", "zerodev", "baseline | zerodev | unbounded")
-	ratio := fs.Float64("ratio", 0, "sparse directory size as a fraction of aggregate L2 blocks (0 = none)")
+	ratio := fs.Float64("ratio", 0, "sparse directory size as a fraction of aggregate L2 blocks, 0 to 16 (0 = none)")
 	policy := fs.String("policy", "fpss", "spillall | fpss | fuseall")
 	mode := fs.String("mode", "noninclusive", "noninclusive | epd | inclusive")
 	if err := fs.Parse(args); err != nil {

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -207,14 +206,6 @@ func ParseList(s string) ([]ID, error) {
 		out = append(out, id)
 	}
 	return out, nil
-}
-
-// SortedNames returns the valid names in lexical order, for error
-// messages and listings that want a stable alphabetical rendering.
-func SortedNames() []string {
-	n := Names()
-	sort.Strings(n)
-	return n
 }
 
 // WriteList renders the registry for the CLI listings (`zerodev list`,

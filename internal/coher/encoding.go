@@ -133,82 +133,6 @@ func DecodeSpilled(l Line) (Entry, error) {
 	return e, nil
 }
 
-// Wide spilled format ---------------------------------------------------------
-//
-// Past 128 cores the Fig. 9a layout no longer holds the full map; the
-// wide layout widens the owner field to 16 bits and starts the sharer
-// vector at bit 24:
-//
-//	bit  0      fused/spilled selector (1 = spilled)
-//	bits 1-2    directory state
-//	bit  3      busy
-//	bits 8-23   owner core ID (16 bits)
-//	bits 24..   full-map sharer vector (N bits)
-//
-// which fits a 64-byte line iff 24 + N <= 512, i.e. N <= 488. Beyond
-// that a single line cannot spill a full-map entry at all and
-// EncodeSpilledN reports ErrPayloadOverflow — the point where the
-// in-memory compressed formats take over.
-const (
-	wideSpillOwnerOff   = 8
-	wideSpillSharersOff = 24
-)
-
-// MaxSpillCores is the largest core count whose full-map entry still
-// fits the wide spilled line format.
-const MaxSpillCores = BlockBits - wideSpillSharersOff
-
-// FitsSpilled reports whether a full-map spilled entry for an N-core
-// socket fits one 64-byte line.
-func FitsSpilled(cores int) bool {
-	if cores <= 128 {
-		return true
-	}
-	return cores <= MaxSpillCores
-}
-
-// EncodeSpilledN packs a directory entry into a spilled LLC line for an
-// N-core socket. For cores <= 128 the layout (and therefore the line)
-// is byte-identical to EncodeSpilled; wider sockets use the wide
-// layout, and sockets past MaxSpillCores get ErrPayloadOverflow.
-func EncodeSpilledN(e Entry, cores int) (Line, error) {
-	if cores <= 128 {
-		return EncodeSpilled(e), nil
-	}
-	if !FitsSpilled(cores) {
-		return Line{}, fmt.Errorf("%w: spilled full map for %d cores needs %d bits",
-			ErrPayloadOverflow, cores, wideSpillSharersOff+cores)
-	}
-	var l Line
-	setBit(&l, 0, true) // spilled
-	setBits(&l, spillStateOff, 2, uint64(e.State))
-	setBit(&l, spillBusyOff, e.Busy)
-	setBits(&l, wideSpillOwnerOff, 16, uint64(e.Owner))
-	setCoreBits(&l, wideSpillSharersOff, e.Sharers, cores)
-	return l, nil
-}
-
-// DecodeSpilledN unpacks a spilled LLC line produced by EncodeSpilledN
-// for an N-core socket.
-func DecodeSpilledN(l Line, cores int) (Entry, error) {
-	if cores <= 128 {
-		return DecodeSpilled(l)
-	}
-	if !FitsSpilled(cores) {
-		return Entry{}, fmt.Errorf("%w: spilled full map for %d cores needs %d bits",
-			ErrPayloadOverflow, cores, wideSpillSharersOff+cores)
-	}
-	if !getBit(&l, 0) {
-		return Entry{}, fmt.Errorf("coher: line is fused, not spilled")
-	}
-	var e Entry
-	e.State = DirState(getBits(&l, spillStateOff, 2))
-	e.Busy = getBit(&l, spillBusyOff)
-	e.Owner = CoreID(getBits(&l, wideSpillOwnerOff, 16))
-	e.Sharers = getCoreBits(&l, wideSpillSharersOff, cores)
-	return e, nil
-}
-
 // FPSS fused format (Fig. 9b) -------------------------------------------------
 
 // FusedFPSS is the decoded content of an FPSS fused line: the LLC block's

@@ -80,15 +80,6 @@ func Server128(scale int) Preset {
 	}
 }
 
-// Server256, Server512, and Server1024 are the wide single-socket
-// configurations of the scale frontier: per-core resources match
-// Server128 (128 KB L2, 256 KB of LLC per core, 16 banks), with the
-// core count — and therefore the sharer-set width — grown past the
-// two-word inline representation.
-func Server256(scale int) Preset  { return wideServer(256, scale) }
-func Server512(scale int) Preset  { return wideServer(512, scale) }
-func Server1024(scale int) Preset { return wideServer(1024, scale) }
-
 // wideServer builds an N-core socket with Server128's per-core ratios.
 // N must be a power of two so the LLC geometry stays indexable.
 func wideServer(cores, scale int) Preset {

@@ -253,7 +253,11 @@ func TestWorkloadDrivenDeterminism(t *testing.T) {
 		spec := pre.ZeroDEV(0, core.FPSS, llc.DataLRU, llc.NonInclusive)
 		sys := core.NewSystem(spec, workload.Threads(workload.MustGet("dedup"), spec.Cores, 5000, 32, 9))
 		cyc := sys.Run()
-		return uint64(cyc), sys.TotalL2Misses()
+		var misses uint64
+		for _, st := range sys.CoreStats() {
+			misses += st.L2Misses
+		}
+		return uint64(cyc), misses
 	}
 	c1, m1 := run()
 	c2, m2 := run()

@@ -118,33 +118,6 @@ func (s *System) RunCtx(ctx context.Context, steps *atomic.Uint64) (sim.Cycle, e
 	return sim.Drive(agents, sim.ContextHook(ctx, steps, nil))
 }
 
-// RunCtxDomains is RunCtx under the epoch-barrier domain scheduler
-// (sim.DriveDomains): cores are partitioned into up to `workers`
-// contiguous domains and stepped in parallel below the private-step
-// horizon. Output is byte-identical to RunCtx; workers <= 1 simply
-// delegates to RunCtx. Contiguous partitioning preserves the serial
-// (clock, core index) tie-break: among domains whose frontiers share a
-// cycle, the lowest-numbered domain holds the globally least index.
-func (s *System) RunCtxDomains(ctx context.Context, steps *atomic.Uint64, workers int) (sim.Cycle, error) {
-	if workers <= 1 {
-		return s.RunCtx(ctx, steps)
-	}
-	n := len(s.Cores)
-	d := workers
-	if d > n {
-		d = n
-	}
-	domains := make([][]sim.LocalAgent, d)
-	for i := range domains {
-		lo, hi := i*n/d, (i+1)*n/d
-		domains[i] = make([]sim.LocalAgent, 0, hi-lo)
-		for _, c := range s.Cores[lo:hi] {
-			domains[i] = append(domains[i], c)
-		}
-	}
-	return sim.DriveDomains(ctx, domains, workers, steps, noc.NewCrossQueue(d))
-}
-
 // CoreStats snapshots every core's counters.
 func (s *System) CoreStats() []cpu.Stats {
 	out := make([]cpu.Stats, len(s.Cores))
@@ -152,13 +125,4 @@ func (s *System) CoreStats() []cpu.Stats {
 		out[i] = c.Stats()
 	}
 	return out
-}
-
-// TotalL2Misses sums the paper's "core cache misses" across cores.
-func (s *System) TotalL2Misses() uint64 {
-	var n uint64
-	for _, c := range s.Cores {
-		n += c.Stats().L2Misses
-	}
-	return n
 }

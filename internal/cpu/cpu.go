@@ -140,48 +140,19 @@ type Core struct {
 	ivRetired uint64
 	ivStart   sim.Cycle
 	ivSeries  stream.Series
-
-	// Lookahead scan state for the domain scheduler (sim.LocalAgent).
-	// All zero for serial runs, where LocalBound is never called and
-	// Step consumes the stream directly. peek holds accesses pulled from
-	// the stream ahead of execution (in order; Step consumes from it
-	// first), gapCum[i] is the gap sum of peek[:i] for O(1) bound
-	// arithmetic, scanStop is the peek index of the first access
-	// classified as possibly-shared (-1 = none found yet), scanEOS
-	// records that the stream is exhausted, and scanDirty marks the
-	// cached classifications stale after any private-cache mutation that
-	// did not come from a private-hit step (uncore transactions,
-	// external invalidations and downgrades).
-	peek      []Access
-	peekHead  int
-	gapCum    []uint64
-	scanStop  int
-	scanEOS   bool
-	scanDirty bool
-
-	// LocalBound memo: valid while the clock, gap carry, and peek cursor
-	// are unchanged and nothing set scanDirty. A hit can only be stale
-	// in the conservative direction (the true bound is monotone
-	// non-decreasing between dirtying events), so reuse is always sound.
-	boundCache sim.Cycle
-	boundClock sim.Cycle
-	boundFrac  uint32
-	boundHead  int
-	boundValid bool
 }
 
 // New constructs a core. The uncore may be set later with Attach when
 // construction order requires it.
 func New(id coher.CoreID, p Params, stream Stream, uncore Uncore) *Core {
 	return &Core{
-		id:       id,
-		p:        p,
-		l1i:      cache.New[struct{}](cache.MustGeometry(p.L1Bytes, p.L1Ways, coher.BlockBytes), cache.LRU),
-		l1d:      cache.New[struct{}](cache.MustGeometry(p.L1Bytes, p.L1Ways, coher.BlockBytes), cache.LRU),
-		l2:       cache.New[l2Line](cache.MustGeometry(p.L2Bytes, p.L2Ways, coher.BlockBytes), cache.LRU),
-		stream:   stream,
-		uncore:   uncore,
-		scanStop: -1,
+		id:     id,
+		p:      p,
+		l1i:    cache.New[struct{}](cache.MustGeometry(p.L1Bytes, p.L1Ways, coher.BlockBytes), cache.LRU),
+		l1d:    cache.New[struct{}](cache.MustGeometry(p.L1Bytes, p.L1Ways, coher.BlockBytes), cache.LRU),
+		l2:     cache.New[l2Line](cache.MustGeometry(p.L2Bytes, p.L2Ways, coher.BlockBytes), cache.LRU),
+		stream: stream,
+		uncore: uncore,
 	}
 }
 
@@ -212,7 +183,7 @@ func (c *Core) Done() bool { return c.done }
 
 // Step implements sim.Clocked: consume one access from the stream.
 func (c *Core) Step() {
-	a, ok := c.nextAccess()
+	a, ok := c.stream.Next()
 	if !ok {
 		c.done = true
 		return
@@ -275,7 +246,6 @@ func (c *Core) load(addr coher.Addr) {
 		return
 	}
 	c.stats.L2Misses++
-	c.scanDirty = true
 	done, granted := c.uncore.Read(c.clock, c.id, addr, false)
 	c.stall(done-c.clock, c.p.LoadMLP)
 	c.install(addr, granted, false)
@@ -293,7 +263,6 @@ func (c *Core) store(addr coher.Addr) {
 			line.state = coher.PrivModified // silent E→M
 		case coher.PrivShared:
 			c.stats.Upgrades++
-			c.scanDirty = true
 			done := c.uncore.Upgrade(c.clock, c.id, addr)
 			// Re-check: an inclusion eviction during the upgrade can
 			// invalidate this core's own line, so the cached (set, way) is
@@ -321,7 +290,6 @@ func (c *Core) store(addr coher.Addr) {
 	}
 	c.stats.L1DMisses++
 	c.stats.L2Misses++
-	c.scanDirty = true
 	done := c.uncore.Write(c.clock, c.id, addr)
 	c.stall(done-c.clock, c.p.StoreMLP)
 	c.install(addr, coher.PrivModified, false)
@@ -342,7 +310,6 @@ func (c *Core) ifetch(addr coher.Addr) {
 		return
 	}
 	c.stats.L2Misses++
-	c.scanDirty = true
 	done, granted := c.uncore.Read(c.clock, c.id, addr, true)
 	c.stall(done-c.clock, c.p.LoadMLP)
 	c.install(addr, granted, true)
@@ -404,7 +371,6 @@ func (c *Core) evictL2(set, way int) {
 	line := *c.l2.Payload(set, way)
 	c.dropL1(addr, line)
 	c.l2.Invalidate(set, way)
-	c.scanDirty = true
 	c.uncore.Evict(c.clock, c.id, addr, line.state)
 }
 
@@ -488,7 +454,6 @@ func (c *Core) Invalidate(addr coher.Addr) coher.PrivState {
 	c.dropL1(addr, line)
 	c.l2.Invalidate(set, way)
 	c.stats.InvalidationsReceived++
-	c.scanDirty = true
 	return line.state
 }
 
@@ -503,7 +468,6 @@ func (c *Core) Downgrade(addr coher.Addr) coher.PrivState {
 	prev := line.state
 	if prev == coher.PrivModified || prev == coher.PrivExclusive {
 		line.state = coher.PrivShared
-		c.scanDirty = true // store-hit classification for addr changed
 	}
 	return prev
 }
@@ -531,134 +495,6 @@ func (c *Core) EvictBlock(addr coher.Addr) bool {
 	}
 	c.evictL2(set, way)
 	return true
-}
-
-// --- domain-scheduler lookahead (sim.LocalAgent) ---------------------
-
-// maxScanAhead caps how many accesses LocalBound buffers ahead of
-// execution, bounding scan memory for streams with very long private
-// runs. A capped scan yields a smaller (still sound) bound.
-const maxScanAhead = 4096
-
-// nextAccess returns the next access for Step: buffered lookahead
-// first, then the stream. The stream is never touched again after it
-// reports end (streams need not be idempotent past exhaustion).
-func (c *Core) nextAccess() (Access, bool) {
-	if c.peekHead < len(c.peek) {
-		a := c.peek[c.peekHead]
-		if c.peekHead == c.scanStop {
-			// Consuming the scanned stopper: the cached classification
-			// prefix is spent, whatever the step turns out to do.
-			c.scanDirty = true
-		}
-		c.peekHead++
-		if c.peekHead == len(c.peek) {
-			c.peek = c.peek[:0]
-			c.gapCum = c.gapCum[:0]
-			c.peekHead = 0
-			c.scanStop = -1
-		}
-		return a, true
-	}
-	if c.scanEOS {
-		return Access{}, false
-	}
-	return c.stream.Next()
-}
-
-// classifyPrivate reports whether executing a against the current L2
-// snapshot touches only core-private state. Loads and ifetches are
-// private iff they hit in L2 (any state); stores additionally need M or
-// E (a store hit in S issues an Upgrade transaction). Any L2 miss
-// reaches the uncore. The L1s never matter: an L1 miss that hits L2 is
-// serviced entirely inside the core. Lookup does not update replacement
-// state, so classification is observation-free.
-func (c *Core) classifyPrivate(a Access) bool {
-	set, way, ok := c.l2.Lookup(uint64(a.Addr))
-	if !ok {
-		return false
-	}
-	if a.Kind == Store {
-		st := c.l2.Payload(set, way).state
-		return st == coher.PrivModified || st == coher.PrivExclusive
-	}
-	return true
-}
-
-// LocalBound implements sim.LocalAgent: a conservative lower bound on
-// the local time at which the core's next uncore-reaching step can be
-// scheduled. It scans ahead in the stream (buffering peeked accesses
-// for Step to consume later) and classifies each against the current L2
-// snapshot. The classification stays exact for the whole private run:
-// private-hit steps never change which blocks the L2 holds or their
-// classification-relevant states (the only transition, the silent E→M
-// on a store hit in E, maps private to private), so the single
-// snapshot remains valid until something that can change it runs —
-// this core's own uncore transactions and evictions, or external
-// invalidations and downgrades — each of which sets scanDirty and
-// forces a re-classification here.
-//
-// The bound itself is the gap-carry arithmetic of Step run in advance:
-// consuming k private accesses advances the clock by at least
-// floor((gapFrac + sum of their gaps) / IssueWidth) cycles (hit
-// latencies only add), and the stopper is scheduled before its own gap
-// is consumed, so its gap is excluded.
-func (c *Core) LocalBound() sim.Cycle {
-	if c.done {
-		return sim.MaxCycle
-	}
-	if c.boundValid && !c.scanDirty && c.clock == c.boundClock &&
-		c.gapFrac == c.boundFrac && c.peekHead == c.boundHead {
-		return c.boundCache
-	}
-	if c.scanDirty {
-		c.scanDirty = false
-		c.scanStop = -1
-		for i := c.peekHead; i < len(c.peek); i++ {
-			if !c.classifyPrivate(c.peek[i]) {
-				c.scanStop = i
-				break
-			}
-		}
-	}
-	if c.scanStop < 0 {
-		// Everything buffered is private; extend the scan up to the cap.
-		for !c.scanEOS && len(c.peek)-c.peekHead < maxScanAhead {
-			a, ok := c.stream.Next()
-			if !ok {
-				c.scanEOS = true
-				break
-			}
-			if len(c.gapCum) == 0 {
-				c.gapCum = append(c.gapCum, 0)
-			}
-			c.gapCum = append(c.gapCum, c.gapCum[len(c.gapCum)-1]+uint64(a.Gap))
-			c.peek = append(c.peek, a)
-			if !c.classifyPrivate(a) {
-				c.scanStop = len(c.peek) - 1
-				break
-			}
-		}
-	}
-	iw := uint64(c.p.IssueWidth)
-	var bound sim.Cycle
-	switch {
-	case c.scanStop >= 0:
-		sum := c.gapCum[c.scanStop] - c.gapCum[c.peekHead]
-		bound = c.clock + sim.Cycle((uint64(c.gapFrac)+sum)/iw)
-	case c.scanEOS:
-		// Every remaining access is private and the end-of-stream step
-		// only sets done: no future step reaches shared state.
-		bound = sim.MaxCycle
-	default:
-		// Scan cap hit with everything private: the first possibly-shared
-		// step lies beyond the whole buffered run.
-		sum := c.gapCum[len(c.peek)] - c.gapCum[c.peekHead]
-		bound = c.clock + sim.Cycle((uint64(c.gapFrac)+sum)/iw)
-	}
-	c.boundCache, c.boundClock, c.boundFrac, c.boundHead = bound, c.clock, c.gapFrac, c.peekHead
-	c.boundValid = true
-	return bound
 }
 
 // AppendState appends the core's protocol-visible cache state (L1I,

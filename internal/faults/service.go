@@ -44,14 +44,6 @@ var serviceKindNames = [NumServiceKinds]string{
 	"dup-grant", "worker-stall", "stale-heartbeat", "double-delivery",
 }
 
-// ServiceKindDescs describes each injector for listings and docs.
-var ServiceKindDescs = [NumServiceKinds]string{
-	DupGrant:       "grant a second concurrent lease on an already-leased cell",
-	WorkerStall:    "hold a lease without heartbeating until it expires",
-	StaleHeartbeat: "renew a lease after it expired or was superseded",
-	DoubleDelivery: "deliver a completed cell result twice",
-}
-
 func (k ServiceKind) String() string {
 	if k < 0 || int(k) >= NumServiceKinds {
 		return fmt.Sprintf("ServiceKind(%d)", int(k))

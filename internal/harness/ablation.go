@@ -48,7 +48,7 @@ func fig12(o Options, w io.Writer) error {
 			for _, u := range groupUnits(o, suite) {
 				u := u
 				futs[pi] = append(futs[pi], SubmitJob(p, u.name+"/"+pol.String(), func(ctx context.Context) (stats.Run, error) {
-					return runStreams(ctx, o, pre.ZeroDEV(0, pol, llc.DataLRU, llc.NonInclusive), u.make(pre.Cores), pol.String())
+					return runStreams(ctx, pre.ZeroDEV(0, pol, llc.DataLRU, llc.NonInclusive), u.make(pre.Cores), pol.String())
 				}))
 			}
 		}

@@ -57,7 +57,6 @@ func (e Experiment) Cells(o Options) ([]CellID, error) {
 		grid = append(grid, CellID{Scope: e.ID, Seq: seq, Unit: unit})
 	})
 	o.Workers = 1
-	o.DomainWorkers = 1
 	o.Progress = nil
 	o.Checkpoint = nil
 	o.pool = p

@@ -380,7 +380,7 @@ func claims(o Options, w io.Writer) error {
 		for _, u := range groupUnits(o, suite) {
 			u := u
 			futs[si] = append(futs[si], SubmitJob(p, u.name+"/nodir", func(ctx context.Context) (stats.Run, error) {
-				return runStreams(ctx, o, zdev(pre, 0, llc.NonInclusive), u.make(pre.Cores), "nodir")
+				return runStreams(ctx, zdev(pre, 0, llc.NonInclusive), u.make(pre.Cores), "nodir")
 			}))
 		}
 	}

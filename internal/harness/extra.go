@@ -40,10 +40,10 @@ func energyExp(o Options, w io.Writer) error {
 			u := u
 			futs[si] = append(futs[si], runPair{
 				SubmitJob(p, u.name+"/base", func(ctx context.Context) (stats.Run, error) {
-					return runStreams(ctx, o, pre.Baseline(1, llc.NonInclusive), u.make(pre.Cores), "base")
+					return runStreams(ctx, pre.Baseline(1, llc.NonInclusive), u.make(pre.Cores), "base")
 				}),
 				SubmitJob(p, u.name+"/zdev", func(ctx context.Context) (stats.Run, error) {
-					return runStreams(ctx, o, zdev(pre, 0, llc.NonInclusive), u.make(pre.Cores), "zdev")
+					return runStreams(ctx, zdev(pre, 0, llc.NonInclusive), u.make(pre.Cores), "zdev")
 				}),
 			})
 		}
@@ -182,7 +182,7 @@ func runSocketSys(ctx context.Context, o Options, sockets int, spec core.SystemS
 	if err != nil {
 		return 0, socket.Stats{}, err
 	}
-	c, err := sys.RunCtxDomains(ctx, JobSteps(ctx), o.DomainWorkers)
+	c, err := sys.RunCtx(ctx, JobSteps(ctx))
 	if err != nil {
 		return 0, socket.Stats{}, err
 	}

@@ -40,14 +40,6 @@ type Options struct {
 	// serial path); any value produces byte-identical experiment output
 	// because results are assembled in submission order.
 	Workers int
-	// DomainWorkers enables intra-run parallelism: values > 1 step each
-	// simulation with the epoch-barrier domain scheduler
-	// (sim.DriveDomains) using up to this many goroutines per run, on
-	// top of the across-cell parallelism Workers provides. 1 (the
-	// default) uses the serial scheduler. Any value produces
-	// byte-identical experiment output; the serial-equivalence suite in
-	// determinism_test.go enforces this.
-	DomainWorkers int
 	// Progress, when non-nil, receives rate-limited "done/total jobs"
 	// lines while an experiment runs (the CLI points it at stderr).
 	Progress io.Writer
@@ -91,9 +83,6 @@ func (o Options) Validate() error {
 	}
 	if o.Workers < 1 {
 		return fmt.Errorf("-workers must be at least 1, got %d", o.Workers)
-	}
-	if o.DomainWorkers < 0 {
-		return fmt.Errorf("-domain-workers must be non-negative, got %d", o.DomainWorkers)
 	}
 	if o.Retries < 0 {
 		return fmt.Errorf("-retries must be non-negative, got %d", o.Retries)
@@ -170,11 +159,9 @@ func Get(id string) (Experiment, error) {
 // stats. It aborts with ctx's error (within sim.CancelEvery steps) when
 // the job is cancelled or timed out; the partial Run is never returned,
 // so a checkpoint can only ever record fully completed cells.
-// o.DomainWorkers > 1 steps the simulation with the epoch-barrier
-// domain scheduler (byte-identical output; see sim.DriveDomains).
-func runStreams(ctx context.Context, o Options, spec core.SystemSpec, streams []cpu.Stream, label string) (stats.Run, error) {
+func runStreams(ctx context.Context, spec core.SystemSpec, streams []cpu.Stream, label string) (stats.Run, error) {
 	sys := core.NewSystem(spec, streams)
-	cycles, err := sys.RunCtxDomains(ctx, JobSteps(ctx), o.DomainWorkers)
+	cycles, err := sys.RunCtx(ctx, JobSteps(ctx))
 	if err != nil {
 		return stats.Run{}, err
 	}
@@ -184,12 +171,12 @@ func runStreams(ctx context.Context, o Options, spec core.SystemSpec, streams []
 // runThreads runs a multithreaded workload (threads share the process
 // address space).
 func runThreads(ctx context.Context, o Options, spec core.SystemSpec, prof workload.Profile, label string) (stats.Run, error) {
-	return runStreams(ctx, o, spec, workload.Threads(prof, spec.Cores, o.Accesses, o.Scale, o.Seed), label)
+	return runStreams(ctx, spec, workload.Threads(prof, spec.Cores, o.Accesses, o.Scale, o.Seed), label)
 }
 
 // runRate runs a homogeneous multiprogrammed (rate) workload.
 func runRate(ctx context.Context, o Options, spec core.SystemSpec, prof workload.Profile, label string) (stats.Run, error) {
-	return runStreams(ctx, o, spec, workload.Rate(prof, spec.Cores, o.Accesses, o.Scale, o.Seed), label)
+	return runStreams(ctx, spec, workload.Rate(prof, spec.Cores, o.Accesses, o.Scale, o.Seed), label)
 }
 
 // suiteApps returns the applications evaluated for a suite, trimmed in

@@ -56,7 +56,7 @@ func runScaleOrg(ctx context.Context, o Options, g config.Org, id backend.ID, ra
 	if err != nil {
 		return stats.LeanRun{}, err
 	}
-	cycles, err := sys.RunCtxDomains(ctx, JobSteps(ctx), o.DomainWorkers)
+	cycles, err := sys.RunCtx(ctx, JobSteps(ctx))
 	if err != nil {
 		return stats.LeanRun{}, err
 	}

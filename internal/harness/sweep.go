@@ -42,13 +42,13 @@ func sweepGroup(o Options, group string, baseSpec core.SystemSpec, cores int, cf
 	for ui, u := range units {
 		u := u
 		futs[ui].base = SubmitJob(p, u.name+"/base", func(ctx context.Context) (stats.Run, error) {
-			return runStreams(ctx, o, baseSpec, u.make(cores), "base")
+			return runStreams(ctx, baseSpec, u.make(cores), "base")
 		})
 		futs[ui].cfg = make([]*Future[stats.Run], len(cfgs))
 		for ci, c := range cfgs {
 			c := c
 			futs[ui].cfg[ci] = SubmitJob(p, u.name+"/"+c.name, func(ctx context.Context) (stats.Run, error) {
-				return runStreams(ctx, o, c.spec, u.make(cores), c.name)
+				return runStreams(ctx, c.spec, u.make(cores), c.name)
 			})
 		}
 	}

@@ -71,13 +71,12 @@ type Spec struct {
 // comes from the spec.
 func (s Spec) Options() harness.Options {
 	return harness.Options{
-		Scale:         s.Scale,
-		Accesses:      s.Accesses,
-		Seed:          s.Seed,
-		Quick:         s.Quick,
-		Backends:      s.Backends,
-		Workers:       1,
-		DomainWorkers: 1,
+		Scale:    s.Scale,
+		Accesses: s.Accesses,
+		Seed:     s.Seed,
+		Quick:    s.Quick,
+		Backends: s.Backends,
+		Workers:  1,
 	}
 }
 

@@ -28,14 +28,7 @@ type schedHeap struct {
 
 // makeSched builds the heap from the agents that still have work.
 // Done-at-start agents are never scheduled, matching the linear scan.
-func makeSched(agents []Clocked) schedHeap { return makeSchedFrom(agents, 0) }
-
-// makeSchedFrom is makeSched with an index offset: agent i carries the
-// tie-break order base+i. The domain scheduler builds one heap per
-// domain over a contiguous slice of the globally flattened agent list,
-// so per-domain heaps keyed this way reproduce exactly the (clock,
-// global index) order of one heap over the whole list.
-func makeSchedFrom(agents []Clocked, base int32) schedHeap {
+func makeSched(agents []Clocked) schedHeap {
 	h := schedHeap{
 		clock: make([]Cycle, 0, len(agents)),
 		order: make([]int32, 0, len(agents)),
@@ -46,7 +39,7 @@ func makeSchedFrom(agents []Clocked, base int32) schedHeap {
 			continue
 		}
 		h.clock = append(h.clock, a.Now())
-		h.order = append(h.order, base+int32(i))
+		h.order = append(h.order, int32(i))
 		h.agent = append(h.agent, a)
 	}
 	for i := len(h.agent)/2 - 1; i >= 0; i-- {

@@ -129,8 +129,8 @@ func TestHeapMatchesLinearScan(t *testing.T) {
 // (injected ties), and a large jump followed by a run of equal targets
 // models an agent that goes idle far in the future and re-arms there,
 // stepping repeatedly at a constant clock while the rest of the
-// population catches up. These are exactly the churn patterns the epoch
-// barrier's (clock, original index) tie-break must reproduce.
+// population catches up. These are exactly the churn patterns the
+// heap's (clock, original index) tie-break must reproduce.
 type churnAgent struct {
 	id      int
 	now     Cycle

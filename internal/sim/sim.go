@@ -34,14 +34,6 @@ type Clocked interface {
 	Done() bool
 }
 
-// RunAll interleaves agents by smallest local clock until every agent is
-// done. It returns the largest local clock observed, i.e. the parallel
-// completion time of the slowest agent.
-func RunAll(agents []Clocked) Cycle {
-	last, _ := Drive(agents, nil)
-	return last
-}
-
 // CancelEvery is the cooperative cancellation interval: a simulation
 // driven through ContextHook observes context cancellation within this
 // many scheduler steps, so even a multi-million-step unit aborts with
@@ -81,13 +73,15 @@ func ContextHook(ctx context.Context, steps *atomic.Uint64, inner func(step uint
 	}
 }
 
-// Drive is RunAll with an observation hook: after every scheduler step it
-// invokes hook with the count of steps executed so far and the stepped
-// agent's local time. The hook runs between transactions, when no request
-// is in flight, so it may mutate or audit global state (fault-injection
-// campaigns perturb the protocol and run the invariant checker here). A
-// non-nil hook error aborts the run; Drive returns the largest local
-// clock observed either way.
+// Drive interleaves agents by smallest local clock until every agent is
+// done and returns the largest local clock observed, i.e. the parallel
+// completion time of the slowest agent. A non-nil hook observes every
+// scheduler step: it receives the count of steps executed so far and
+// the stepped agent's local time. The hook runs between transactions,
+// when no request is in flight, so it may mutate or audit global state
+// (fault-injection campaigns perturb the protocol and run the invariant
+// checker here). A non-nil hook error aborts the run; Drive returns the
+// largest local clock observed either way.
 //
 // Scheduling is an indexed min-heap keyed by (local clock, agent
 // index), so each step costs O(log cores) instead of the O(cores)

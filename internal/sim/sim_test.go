@@ -103,7 +103,10 @@ func TestRunAllInterleavesByClock(t *testing.T) {
 	var trace []int
 	fast := &fakeAgent{step: 1, left: 4, trace: &trace, id: 0}
 	slow := &fakeAgent{step: 10, left: 2, trace: &trace, id: 1}
-	last := RunAll([]Clocked{fast, slow})
+	last, err := Drive([]Clocked{fast, slow}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// fast runs 4 steps (clock 1..4) before slow's second step at 10.
 	want := []int{0, 1, 0, 0, 0, 1}
 	if len(trace) != len(want) {

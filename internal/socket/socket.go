@@ -204,29 +204,6 @@ func (sys *System) RunCtx(ctx context.Context, steps *atomic.Uint64) (sim.Cycle,
 	return sim.Drive(agents, sim.ContextHook(ctx, steps, nil))
 }
 
-// RunCtxDomains is RunCtx under the epoch-barrier domain scheduler
-// (sim.DriveDomains): each socket's cores form one domain, stepped in
-// parallel below the private-step horizon; every uncore-reaching step
-// (which may touch the shared socket directory, home memory, or a
-// remote socket's engine) executes serially in exact global (clock,
-// core index) order, so output is byte-identical to RunCtx. The
-// socket-major agent flattening of RunCtx is exactly the domain-major
-// order here, preserving the tie-break. workers <= 1 delegates to
-// RunCtx.
-func (sys *System) RunCtxDomains(ctx context.Context, steps *atomic.Uint64, workers int) (sim.Cycle, error) {
-	if workers <= 1 {
-		return sys.RunCtx(ctx, steps)
-	}
-	domains := make([][]sim.LocalAgent, len(sys.Sockets))
-	for s, sock := range sys.Sockets {
-		domains[s] = make([]sim.LocalAgent, 0, len(sock.Cores))
-		for _, c := range sock.Cores {
-			domains[s] = append(domains[s], c)
-		}
-	}
-	return sim.DriveDomains(ctx, domains, workers, steps, noc.NewCrossQueue(len(domains)))
-}
-
 // Stats returns the socket-layer counters.
 func (sys *System) Stats() Stats { return sys.stats }
 
