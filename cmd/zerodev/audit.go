@@ -123,6 +123,7 @@ func auditCmd(ctx context.Context, args []string) int {
 	key := harness.CheckpointKey{
 		Kind: "audit", IDs: ids,
 		Scale: o.Scale, Accesses: o.Accesses, Seed: o.Seed,
+		Faults: cfg.CheckpointTag(),
 	}
 	if *resume != "" {
 		cs, err := harness.LoadCheckpoint(*resume, key)

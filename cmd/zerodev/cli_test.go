@@ -49,9 +49,9 @@ func runCaptured(t *testing.T, cmd func() int) (code int, stdout, stderr string)
 // ignored scan error (ratio). It also holds the values that would size
 // a directory past host memory (ratio), record a meaningless bench
 // entry (workers) or disarm the bench gate (max-regress, where every
-// comparison with NaN is false). Each must exit 2 naming the valid
-// values, with nothing on stdout, before any simulation or measurement
-// runs.
+// comparison with NaN is false), and an unknown experiment named after
+// a valid one. Each must exit 2 naming the valid values, with nothing on
+// stdout, before any simulation or measurement runs.
 func TestMalformedValuesRefused(t *testing.T) {
 	small := []string{"-scale", "32", "-accesses", "1000"}
 	single := func(args ...string) func() int {
@@ -65,6 +65,11 @@ func TestMalformedValuesRefused(t *testing.T) {
 	bench := func(args ...string) func() int {
 		return func() int {
 			return benchCmd(context.Background(), append([]string{"-o", filepath.Join(t.TempDir(), "bench.json")}, args...))
+		}
+	}
+	run := func(ids ...string) func() int {
+		return func() int {
+			return runCmd(context.Background(), append([]string{"-quick", "-scale", "64", "-accesses", "500", "-checkpoint", ""}, ids...))
 		}
 	}
 	for _, tc := range []struct {
@@ -92,6 +97,7 @@ func TestMalformedValuesRefused(t *testing.T) {
 		{"bench -max-regress NaN", bench("-max-regress", "NaN"), "finite fraction of at least 0"},
 		{"bench -max-regress -0.1", bench("-max-regress", "-0.1"), "finite fraction of at least 0"},
 		{"bench -max-regress +Inf", bench("-max-regress", "+Inf"), "finite fraction of at least 0"},
+		{"run fig4 nosuch", run("fig4", "nosuch"), `"nosuch" (see ` + "`zerodev list`)"},
 	} {
 		code, stdout, stderr := runCaptured(t, tc.cmd)
 		if code != 2 {
@@ -102,6 +108,48 @@ func TestMalformedValuesRefused(t *testing.T) {
 		}
 		if stdout != "" {
 			t.Errorf("%s: printed %q; a refused value must run nothing", tc.name, stdout)
+		}
+	}
+}
+
+// TestAuditResume: a complete audit checkpoint resumed under the same
+// flags reproduces the fresh run's stdout byte for byte, and resuming it
+// under a different fault configuration — injector set, audit interval
+// or rate scale, each of which changes the cells — is refused with exit
+// 2 before anything is printed.
+func TestAuditResume(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "audit.json")
+	base := []string{"-scale", "32", "-accesses", "3000", "-audit-every", "500", "-campaigns", "fpss-1s", "-workers", "1", "-quiet"}
+	audit := func(args ...string) (int, string, string) {
+		return runCaptured(t, func() int {
+			return auditCmd(context.Background(), append(append([]string{}, base...), args...))
+		})
+	}
+	code, fresh, stderr := audit("-faults", "storm", "-checkpoint", ck)
+	if code != 0 || fresh == "" {
+		t.Fatalf("fresh audit: exit %d, stdout %q, stderr %q", code, fresh, stderr)
+	}
+	code, resumed, stderr := audit("-faults", "storm", "-resume", ck, "-checkpoint", "")
+	if code != 0 {
+		t.Fatalf("same-flags resume: exit %d, stderr %q", code, stderr)
+	}
+	if resumed != fresh {
+		t.Errorf("resumed stdout differs from the fresh run\n--- fresh ---\n%s\n--- resumed ---\n%s", fresh, resumed)
+	}
+	for _, changed := range [][]string{
+		{"-faults", "deflip"},
+		{"-faults", "storm", "-audit-every", "100"},
+		{"-faults", "storm", "-rate-scale", "4"},
+	} {
+		code, stdout, stderr := audit(append(changed, "-resume", ck, "-checkpoint", "")...)
+		if code != 2 {
+			t.Errorf("resume with %v: exit %d, want 2 (stderr %q)", changed, code, stderr)
+		}
+		if !strings.Contains(stderr, "written by a different run") {
+			t.Errorf("resume with %v: stderr %q is not the fingerprint-mismatch refusal", changed, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("resume with %v: printed %q; a refused resume must run nothing", changed, stdout)
 		}
 	}
 }

@@ -11,13 +11,6 @@
 //	zerodev audit [-faults K,..] [-campaigns C,..] [-backend B,..] [-audit-every N] [-fail-fast] [-job-timeout D] [-resume FILE]
 //	zerodev check [-cores N] [-addrs N] [-depth N] [-policies P,..] [-backends B,..] [-workers N] [-job-timeout D] [-replay FILE] [-list]
 //	zerodev bench [-experiments IDs] [-count N] [-o FILE] [-compare FILE]
-//	zerodev serve [-addr A] [-state FILE] [-lease-ttl D] [-retry-budget N]
-//	zerodev work [-connect URL] [-id NAME] [-poll D]
-//
-// serve runs the fault-tolerant campaign coordinator (submit campaigns
-// with POST /v1/campaigns; inspect with GET /v1/jobs) and work runs a
-// worker that leases cells from it; killed workers and coordinator
-// restarts recover without losing completed work (see DESIGN.md §10).
 //
 // run, audit, check, and bench accept -cpuprofile/-memprofile FILE and
 // -pprof-http ADDR for performance investigation.
@@ -94,10 +87,6 @@ func realMain() int {
 		return checkCmd(ctx, os.Args[2:])
 	case "bench":
 		return benchCmd(ctx, os.Args[2:])
-	case "serve":
-		return serveCmd(ctx, os.Args[2:])
-	case "work":
-		return workCmd(ctx, os.Args[2:])
 	default:
 		usage()
 		return 2
@@ -114,7 +103,7 @@ func writeList(w io.Writer) {
 
 func usage() {
 	fmt.Fprintln(os.Stderr,
-		"usage: zerodev list | run [flags] <experiment>...|all | single [flags] <app> | compare [flags] <app> | trace [flags] | audit [flags] | check [flags] | bench [flags] | serve [flags] | work [flags]")
+		"usage: zerodev list | run [flags] <experiment>...|all | single [flags] <app> | compare [flags] <app> | trace [flags] | audit [flags] | check [flags] | bench [flags]")
 }
 
 func runCmd(ctx context.Context, args []string) int {
@@ -167,6 +156,29 @@ func runCmd(ctx context.Context, args []string) int {
 			ids = append(ids, e.ID)
 		}
 	}
+	// Resolve every experiment before the first simulation, so an
+	// unknown ID refuses the whole run instead of surfacing after the
+	// experiments named before it have printed. Under -resume the same
+	// loop enumerates the cell grid the checkpoint is verified against.
+	exps := make([]harness.Experiment, len(ids))
+	var grid []harness.CellID
+	for i, id := range ids {
+		e, err := harness.Get(id)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "run:", err)
+			return 2
+		}
+		exps[i] = e
+		if *resume == "" {
+			continue
+		}
+		cells, err := e.Cells(o)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "run:", err)
+			return 2
+		}
+		grid = append(grid, cells...)
+	}
 	key := harness.CheckpointKey{
 		Kind: "run", IDs: ids,
 		Scale: o.Scale, Accesses: o.Accesses, Seed: o.Seed, Quick: o.Quick,
@@ -182,20 +194,6 @@ func runCmd(ctx context.Context, args []string) int {
 		// pins the cell decomposition, so a checkpoint holding cells this
 		// build's experiments no longer generate is rejected by name
 		// instead of silently ignored.
-		var grid []harness.CellID
-		for _, id := range ids {
-			e, err := harness.Get(id)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "run:", err)
-				return 2
-			}
-			cells, err := e.Cells(o)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "run:", err)
-				return 2
-			}
-			grid = append(grid, cells...)
-		}
 		if err := cs.VerifyGrid(grid); err != nil {
 			fmt.Fprintln(os.Stderr, "run:", err)
 			return 2
@@ -215,25 +213,20 @@ func runCmd(ctx context.Context, args []string) int {
 	}
 	var errs []error
 	var failed []string
-	for _, id := range ids {
-		e, err := harness.Get(id)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
+	for _, e := range exps {
 		start := time.Now()
 		tm, err := e.Execute(ctx, o, os.Stdout)
 		saveCheckpoint()
 		if err != nil {
 			// Keep going: later experiments are independent, and the
 			// failure (including any ERR cells) is already rendered.
-			fmt.Fprintf(stderr, "%s: %v\n", id, err)
+			fmt.Fprintf(stderr, "%s: %v\n", e.ID, err)
 			errs = append(errs, err)
-			failed = append(failed, id)
+			failed = append(failed, e.ID)
 		}
 		if !*quiet {
 			tm.Fprint(stderr)
-			fmt.Fprintf(stderr, "[%s finished in %v]\n", id, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(stderr, "[%s finished in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
 		}
 		// Wall-clock chatter stays on stderr: stdout carries only the
 		// experiment tables, so an interrupted-then-resumed run's stdout

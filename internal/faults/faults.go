@@ -259,6 +259,20 @@ type Config struct {
 	BreakKind string
 }
 
+// CheckpointTag renders the CLI-settable part of c that shapes audit
+// cell results — the enabled injector set, AuditEvery and RateScale —
+// for audit's checkpoint key, so a checkpoint resumes only under the
+// fault configuration that computed its cells.
+func (c Config) CheckpointTag() string {
+	var on []string
+	for k, en := range c.Enabled {
+		if en {
+			on = append(on, kindNames[k])
+		}
+	}
+	return fmt.Sprintf("kinds=%s audit-every=%d rate-scale=%g", strings.Join(on, ","), c.AuditEvery, c.RateScale)
+}
+
 // EffectiveRate returns the injection probability actually used for k:
 // the default per-opportunity rate times RateScale, clamped to [0, 1].
 // The documented boundary contract: RateScale 0 disables every kind;

@@ -37,6 +37,10 @@ type CheckpointKey struct {
 	// shapes the backend-axis cell grids; omitempty keeps fingerprints
 	// of runs that never set it identical to pre-backend checkpoints.
 	Backends string `json:"backends,omitempty"`
+	// Faults is audit's fault configuration (faults.Config.CheckpointTag:
+	// enabled injectors, audit interval, rate scale), which shapes every
+	// audit cell. omitempty keeps run fingerprints unchanged.
+	Faults string `json:"faults,omitempty"`
 }
 
 // Fingerprint hashes the key with FNV-64a over its canonical JSON.
@@ -117,9 +121,6 @@ func NewCheckpoint(key CheckpointKey) *CheckpointState {
 		units: make(map[string]string),
 	}
 }
-
-// Key returns the run shape this checkpoint binds to.
-func (cs *CheckpointState) Key() CheckpointKey { return cs.key }
 
 // Cells reports how many completed cells the checkpoint holds.
 func (cs *CheckpointState) Cells() int {
@@ -271,8 +272,9 @@ func (cs *CheckpointState) Save(path string) error {
 // LoadCheckpoint reads and validates a checkpoint for the given run
 // shape. It refuses — with errors naming the exact mismatch — files of
 // a different version, files whose fingerprint does not match key
-// (different experiments, scale, accesses, seed, or quick mode), and
-// files whose content hash fails (torn or hand-edited).
+// (different experiments, scale, accesses, seed, quick mode, or audit
+// fault configuration), and files whose content hash fails (torn or
+// hand-edited).
 func LoadCheckpoint(path string, key CheckpointKey) (*CheckpointState, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -297,8 +299,8 @@ func LoadCheckpoint(path string, key CheckpointKey) (*CheckpointState, error) {
 	}
 	want := key.Fingerprint()
 	if f.Fingerprint != want {
-		return nil, fmt.Errorf("harness: checkpoint %s was written by a different run (fingerprint %016x, this invocation %016x): it covers kind=%q ids=%v scale=%d accesses=%d seed=%d quick=%v",
-			path, f.Fingerprint, want, f.Key.Kind, f.Key.IDs, f.Key.Scale, f.Key.Accesses, f.Key.Seed, f.Key.Quick)
+		return nil, fmt.Errorf("harness: checkpoint %s was written by a different run (fingerprint %016x, this invocation %016x): it covers kind=%q ids=%v scale=%d accesses=%d seed=%d quick=%v faults=%q",
+			path, f.Fingerprint, want, f.Key.Kind, f.Key.IDs, f.Key.Scale, f.Key.Accesses, f.Key.Seed, f.Key.Quick, f.Key.Faults)
 	}
 	if got := contentSum(f.Cells); got != f.Sum {
 		return nil, fmt.Errorf("harness: checkpoint %s failed its content hash (stored %016x, computed %016x): file is torn or was edited", path, f.Sum, got)

@@ -150,7 +150,7 @@ func Get(id string) (Experiment, error) {
 			return e, nil
 		}
 	}
-	return Experiment{}, fmt.Errorf("harness: unknown experiment %q (use list)", id)
+	return Experiment{}, fmt.Errorf("harness: unknown experiment %q (see `zerodev list`)", id)
 }
 
 // --- run helpers -------------------------------------------------------------

@@ -1,5 +1,9 @@
-// Package serve implements the fault-tolerant campaign service behind
-// `zerodev serve` (coordinator) and `zerodev work` (worker).
+// Package serve implements a fault-tolerant campaign service: a
+// coordinator that leases cells to workers over HTTP. No command wires
+// it up — `zerodev run -workers N -resume` is the one way to run and
+// resume a campaign, having measured faster than this service on the
+// same host (DESIGN.md §10) — and the package stays only until its
+// deletion, tracked in ROADMAP.md, lands.
 //
 // The coordinator accepts campaign specs over an HTTP/JSON API,
 // decomposes each into cells by reusing the harness's deterministic
