@@ -85,8 +85,10 @@ func auditCmd(ctx context.Context, args []string) int {
 		fmt.Fprintf(os.Stderr, "audit: -audit-every must be non-negative, got %d\n", *auditEvery)
 		return 2
 	}
-	if *rateScale < 0 {
-		fmt.Fprintf(os.Stderr, "audit: -rate-scale must be non-negative, got %g\n", *rateScale)
+	// Negated so NaN, which fails every comparison, is refused too: it
+	// would make every rate NaN and run an inert campaign reported clean.
+	if !(*rateScale >= 0) {
+		fmt.Fprintf(os.Stderr, "audit: -rate-scale must be a number of at least 0, got %g\n", *rateScale)
 		return 2
 	}
 	cfg := faults.DefaultConfig()

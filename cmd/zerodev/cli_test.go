@@ -49,9 +49,12 @@ func runCaptured(t *testing.T, cmd func() int) (code int, stdout, stderr string)
 // ignored scan error (ratio). It also holds the values that would size
 // a directory past host memory (ratio), record a meaningless bench
 // entry (workers) or disarm the bench gate (max-regress, where every
-// comparison with NaN is false), and an unknown experiment named after
-// a valid one. Each must exit 2 naming the valid values, with nothing on
-// stdout, before any simulation or measurement runs.
+// comparison with NaN is false), an audit rate scale of NaN (every
+// injection rate NaN, so nothing fires and the campaign reports clean),
+// a negative check watchdog (silently no watchdog), and an unknown
+// experiment named after a valid one. Each must exit 2 naming the valid
+// values, with nothing on stdout, before any simulation or measurement
+// runs.
 func TestMalformedValuesRefused(t *testing.T) {
 	small := []string{"-scale", "32", "-accesses", "1000"}
 	single := func(args ...string) func() int {
@@ -98,6 +101,12 @@ func TestMalformedValuesRefused(t *testing.T) {
 		{"bench -max-regress -0.1", bench("-max-regress", "-0.1"), "finite fraction of at least 0"},
 		{"bench -max-regress +Inf", bench("-max-regress", "+Inf"), "finite fraction of at least 0"},
 		{"run fig4 nosuch", run("fig4", "nosuch"), `"nosuch" (see ` + "`zerodev list`)"},
+		{"audit -rate-scale NaN", func() int {
+			return auditCmd(context.Background(), append(small, "-rate-scale", "NaN", "-checkpoint", "", "-quiet"))
+		}, "at least 0"},
+		{"check -job-timeout -1s", func() int {
+			return checkCmd(context.Background(), []string{"-job-timeout", "-1s", "-quiet"})
+		}, "at least 0 (0 = off)"},
 	} {
 		code, stdout, stderr := runCaptured(t, tc.cmd)
 		if code != 2 {

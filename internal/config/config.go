@@ -239,21 +239,23 @@ func (p Preset) DirEntries(ratio float64) int {
 	return pw * p.DirWays
 }
 
-// base assembles the spec fields shared by every organization.
+// base assembles the spec fields shared by every organization. Its
+// backend is sparsemesi; the other backends' organizations override it.
 func (p Preset) base(mode llc.Mode, repl llc.Repl) core.SystemSpec {
 	return core.SystemSpec{
 		Cores:    p.Cores,
 		CPU:      p.CPU,
 		LLCBytes: p.LLCBytes, LLCWays: p.LLCWays, LLCBanks: p.LLCBanks,
 		Mode: mode, Repl: repl,
-		DRAM:   dram.DDR3_2133(p.DRAMChannels),
-		NoC:    noc.DefaultParams(),
-		Uncore: core.DefaultParams(p.Cores),
+		Backend: backend.SparseMESI,
+		DRAM:    dram.DDR3_2133(p.DRAMChannels),
+		NoC:     noc.DefaultParams(),
+		Uncore:  core.DefaultParams(p.Cores),
 	}
 }
 
-// Baseline returns the traditional design: an R×-sized NRU sparse
-// directory whose evictions generate DEVs.
+// Baseline returns the traditional design, the sparsemesi backend: an
+// R×-sized NRU sparse directory whose evictions generate DEVs.
 func (p Preset) Baseline(ratio float64, mode llc.Mode) core.SystemSpec {
 	s := p.base(mode, llc.LRU)
 	entries := p.DirEntries(ratio)
@@ -282,7 +284,7 @@ func (p Preset) Unbounded(mode llc.Mode) core.SystemSpec {
 // an extended LLC replacement policy.
 func (p Preset) ZeroDEV(ratio float64, pol core.DEPolicy, repl llc.Repl, mode llc.Mode) core.SystemSpec {
 	s := p.base(mode, repl)
-	s.ZeroDEV = true
+	s.Backend = backend.ZeroDEV
 	s.Policy = pol
 	if ratio <= 0 {
 		s.Dir = func() directory.Directory { return directory.NoDir{} }
@@ -301,21 +303,11 @@ func (p Preset) ZeroDEV(ratio float64, pol core.DEPolicy, repl llc.Repl, mode ll
 // during its lifetime — the design the paper argues is strictly worse.
 func (p Preset) ZeroDEVReplEnabled(ratio float64, pol core.DEPolicy, repl llc.Repl, mode llc.Mode) core.SystemSpec {
 	s := p.base(mode, repl)
-	s.ZeroDEV = true
+	s.Backend = backend.ZeroDEV
 	s.Policy = pol
 	entries := p.DirEntries(ratio)
 	ways := p.DirWays
 	s.Dir = func() directory.Directory { return directory.MustTraditional(entries, ways) }
-	return s
-}
-
-// SparseMESI returns the classic sparse-directory MESI baseline under
-// its protocol-backend name: the same organization as Baseline, tagged
-// so the backend axis (mcheck, conformance, comparative figures)
-// addresses it explicitly.
-func (p Preset) SparseMESI(ratio float64, mode llc.Mode) core.SystemSpec {
-	s := p.Baseline(ratio, mode)
-	s.Backend = backend.SparseMESI
 	return s
 }
 
@@ -359,7 +351,7 @@ func (p Preset) ForBackend(id backend.ID, ratio float64) (core.SystemSpec, error
 	case backend.ZeroDEV, "":
 		return p.ZeroDEV(ratio, core.FPSS, llc.DataLRU, llc.NonInclusive), nil
 	case backend.SparseMESI:
-		return p.SparseMESI(ratio, llc.NonInclusive), nil
+		return p.Baseline(ratio, llc.NonInclusive), nil
 	case backend.DLS:
 		return p.DLS(), nil
 	case backend.PhasePriority:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/directory"
 	"repro/internal/llc"
@@ -72,8 +73,8 @@ func TestSpecBuilders(t *testing.T) {
 			t.Fatalf("%s: spec fields wrong: %+v", name, s)
 		}
 	}
-	if !specs["zerodev"].ZeroDEV || specs["baseline"].ZeroDEV {
-		t.Fatal("ZeroDEV flag wrong")
+	if specs["zerodev"].Backend != backend.ZeroDEV || specs["baseline"].Backend != backend.SparseMESI {
+		t.Fatal("backend tags wrong")
 	}
 }
 

@@ -11,32 +11,45 @@ import (
 	"repro/internal/workload"
 )
 
-// The legacy ZeroDEV/Baseline spec bits and the explicit backend tags
-// must assemble indistinguishable engines: same stats, same canonical
-// state bytes.
+// The two aliases that name one backend two ways must assemble
+// indistinguishable engines — same stats, same canonical state bytes:
+// the empty backend ID is zerodev, and the Baseline preset is
+// sparsemesi.
 func TestBackendTagsAliasLegacySpecs(t *testing.T) {
 	pre := config.TableI(testScale)
 	prof := workload.MustGet("canneal")
 
-	legacy := runChecked(t, pre.Baseline(1.0/8, llc.NonInclusive), prof, true)
-	tagged := runChecked(t, pre.SparseMESI(1.0/8, llc.NonInclusive), prof, true)
+	zspec := pre.ZeroDEV(1.0/8, core.FPSS, llc.DataLRU, llc.NonInclusive)
+	if zspec.Backend != backend.ZeroDEV {
+		t.Fatalf("ZeroDEV preset tagged %q", zspec.Backend)
+	}
+	ztagged := runChecked(t, zspec, prof, true)
+	zspec.Backend = ""
+	zempty := runChecked(t, zspec, prof, true)
+	if *zempty.Engine.Stats() != *ztagged.Engine.Stats() {
+		t.Fatalf("empty backend ID diverged from zerodev:\n%+v\nvs\n%+v",
+			*zempty.Engine.Stats(), *ztagged.Engine.Stats())
+	}
+	if !bytes.Equal(zempty.AppendState(nil), ztagged.AppendState(nil)) {
+		t.Fatal("empty backend ID produced different canonical state than zerodev")
+	}
+
+	base := pre.Baseline(1.0/8, llc.NonInclusive)
+	mesi, err := pre.ForBackend(backend.SparseMESI, 1.0/8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Backend != backend.SparseMESI || mesi.Backend != backend.SparseMESI {
+		t.Fatalf("Baseline tagged %q, ForBackend(sparsemesi) tagged %q", base.Backend, mesi.Backend)
+	}
+	legacy := runChecked(t, base, prof, true)
+	tagged := runChecked(t, mesi, prof, true)
 	if *legacy.Engine.Stats() != *tagged.Engine.Stats() {
-		t.Fatalf("sparsemesi tag diverged from the legacy baseline spec:\n%+v\nvs\n%+v",
+		t.Fatalf("sparsemesi diverged from the Baseline preset:\n%+v\nvs\n%+v",
 			*legacy.Engine.Stats(), *tagged.Engine.Stats())
 	}
 	if !bytes.Equal(legacy.AppendState(nil), tagged.AppendState(nil)) {
-		t.Fatal("sparsemesi tag produced different canonical state than the legacy baseline spec")
-	}
-
-	zspec := pre.ZeroDEV(1.0/8, core.FPSS, llc.DataLRU, llc.NonInclusive)
-	zlegacy := runChecked(t, zspec, prof, true)
-	zspec.Backend = backend.ZeroDEV
-	ztagged := runChecked(t, zspec, prof, true)
-	if *zlegacy.Engine.Stats() != *ztagged.Engine.Stats() {
-		t.Fatal("explicit zerodev tag diverged from the legacy ZeroDEV spec")
-	}
-	if !bytes.Equal(zlegacy.AppendState(nil), ztagged.AppendState(nil)) {
-		t.Fatal("explicit zerodev tag produced different canonical state")
+		t.Fatal("sparsemesi produced different canonical state than the Baseline preset")
 	}
 }
 

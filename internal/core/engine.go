@@ -60,15 +60,9 @@ func (p DEPolicy) String() string {
 type Params struct {
 	// Cores is the per-socket core count.
 	Cores int
-	// Backend selects the coherence-protocol backend. The zero value
-	// derives the backend from the legacy ZeroDEV bit (zerodev when
-	// set, sparsemesi otherwise), so pre-backend specs keep their
-	// meaning.
+	// Backend selects the coherence-protocol backend, resolved through
+	// backend.Get (the empty ID is zerodev).
 	Backend backend.ID
-	// ZeroDEV enables the ZeroDEV protocol; otherwise the baseline
-	// protocol runs and directory evictions produce DEVs. Consulted
-	// only when Backend is empty.
-	ZeroDEV bool
 	// Policy is the directory-entry caching policy (ZeroDEV only).
 	Policy DEPolicy
 	// TagCycles and DataCycles are the LLC array lookup latencies
@@ -157,13 +151,6 @@ type Engine struct {
 func New(p Params, dir directory.Directory, l *llc.LLC, mesh *noc.Mesh, home Home) *Engine {
 	if p.Cores <= 0 || p.Cores > coher.MaxRepresentableCores {
 		panic(fmt.Sprintf("core: unsupported core count %d", p.Cores))
-	}
-	if p.Backend == "" {
-		if p.ZeroDEV {
-			p.Backend = backend.ZeroDEV
-		} else {
-			p.Backend = backend.SparseMESI
-		}
 	}
 	info, ok := backend.Get(p.Backend)
 	if !ok {

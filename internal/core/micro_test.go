@@ -254,8 +254,8 @@ func TestWorkloadDrivenDeterminism(t *testing.T) {
 		sys := core.NewSystem(spec, workload.Threads(workload.MustGet("dedup"), spec.Cores, 5000, 32, 9))
 		cyc := sys.Run()
 		var misses uint64
-		for _, st := range sys.CoreStats() {
-			misses += st.L2Misses
+		for _, c := range sys.Cores {
+			misses += c.Stats().L2Misses
 		}
 		return uint64(cyc), misses
 	}

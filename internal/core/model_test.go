@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/coher"
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -26,6 +27,10 @@ import (
 // tinySpec builds the smallest legal system: 2-way single-set L1/L2,
 // one LLC bank with one 4-way set.
 func tinySpec(dir func() directory.Directory, zerodev bool, pol core.DEPolicy, repl llc.Repl, mode llc.Mode) core.SystemSpec {
+	id := backend.SparseMESI
+	if zerodev {
+		id = backend.ZeroDEV
+	}
 	return core.SystemSpec{
 		Cores: 2,
 		CPU: cpu.Params{
@@ -38,7 +43,7 @@ func tinySpec(dir func() directory.Directory, zerodev bool, pol core.DEPolicy, r
 		LLCBytes: 4 * 64, LLCWays: 4, LLCBanks: 1,
 		Mode: mode, Repl: repl,
 		Dir:     dir,
-		ZeroDEV: zerodev,
+		Backend: id,
 		Policy:  pol,
 		DRAM:    dram.DDR3_2133(1),
 		NoC:     noc.DefaultParams(),
@@ -66,7 +71,7 @@ func runModelSequence(spec core.SystemSpec, ops []modelOp) error {
 		if err := sys.Engine.CheckInvariants(); err != nil {
 			return fmt.Errorf("step %d (%+v): %w", i, ops[:i+1], err)
 		}
-		if spec.ZeroDEV && sys.Engine.Stats().DEVs != 0 {
+		if spec.Backend == backend.ZeroDEV && sys.Engine.Stats().DEVs != 0 {
 			return fmt.Errorf("step %d (%+v): DEVs under ZeroDEV", i, ops[:i+1])
 		}
 	}

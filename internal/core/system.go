@@ -32,10 +32,9 @@ type SystemSpec struct {
 	// sweeps can instantiate a fresh directory per run.
 	Dir func() directory.Directory
 
-	// Backend selects the coherence-protocol backend; empty derives it
-	// from the legacy ZeroDEV bit (see Params.Backend).
+	// Backend selects the coherence-protocol backend (see
+	// Params.Backend).
 	Backend backend.ID
-	ZeroDEV bool
 	Policy  DEPolicy
 
 	DRAM   dram.Params
@@ -78,7 +77,6 @@ func NewSystem(spec SystemSpec, streams []cpu.Stream) *System {
 	up := spec.Uncore
 	up.Cores = spec.Cores
 	up.Backend = spec.Backend
-	up.ZeroDEV = spec.ZeroDEV
 	up.Policy = spec.Policy
 	var h Home = home
 	if spec.WrapHome != nil {
@@ -116,13 +114,4 @@ func (s *System) RunCtx(ctx context.Context, steps *atomic.Uint64) (sim.Cycle, e
 		agents[i] = c
 	}
 	return sim.Drive(agents, sim.ContextHook(ctx, steps, nil))
-}
-
-// CoreStats snapshots every core's counters.
-func (s *System) CoreStats() []cpu.Stats {
-	out := make([]cpu.Stats, len(s.Cores))
-	for i, c := range s.Cores {
-		out[i] = c.Stats()
-	}
-	return out
 }

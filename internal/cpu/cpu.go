@@ -117,6 +117,21 @@ type Stats struct {
 	InvalidationsReceived uint64
 }
 
+// Add merges o into s; summed over cores, Cycles is total core-cycles.
+func (s *Stats) Add(o *Stats) {
+	s.Loads += o.Loads
+	s.Stores += o.Stores
+	s.Ifetches += o.Ifetches
+	s.L1DMisses += o.L1DMisses
+	s.L1IMisses += o.L1IMisses
+	s.L2Misses += o.L2Misses
+	s.Prefetches += o.Prefetches
+	s.Upgrades += o.Upgrades
+	s.Retired += o.Retired
+	s.Cycles += o.Cycles
+	s.InvalidationsReceived += o.InvalidationsReceived
+}
+
 // Core is one processor with private caches. It implements sim.Clocked.
 type Core struct {
 	id     coher.CoreID

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/coher"
@@ -272,5 +273,25 @@ func TestStatIntervalStreamsIPC(t *testing.T) {
 	drain(c2)
 	if c2.IntervalIPC().Count() != 0 {
 		t.Fatal("StatInterval = 0 must not sample")
+	}
+}
+
+// TestStatsAddSumsEveryField guards the run record's core fold: a
+// counter added to Stats but not to Add would read as zero in every
+// collected run.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var one Stats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	var sum Stats
+	sum.Add(&one)
+	sum.Add(&one)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < got.NumField(); i++ {
+		if got.Field(i).Uint() != 2*uint64(i+1) {
+			t.Errorf("Add: %s = %d, want %d", got.Type().Field(i).Name, got.Field(i).Uint(), 2*(i+1))
+		}
 	}
 }

@@ -193,7 +193,6 @@ type CellResult struct {
 	FirstBreakStep                          uint64
 
 	Engine core.Stats
-	Socket socket.Stats
 
 	Violation *Violation
 }
@@ -239,10 +238,10 @@ func RunCell(ctx context.Context, cfg Config, c Campaign, o harness.Options, idx
 	prof := workload.MustGet(c.App)
 
 	var (
-		tg     targets
-		agents []sim.Clocked
-		check  func() error
-		stSock func() socket.Stats
+		tg      targets
+		agents  []sim.Clocked
+		check   func() error
+		collect func(sim.Cycle) stats.Run
 	)
 	if c.Sockets <= 1 {
 		spec.WrapHome = func(h core.Home) core.Home { return &chaosHome{Home: h, in: in} }
@@ -255,7 +254,7 @@ func RunCell(ctx context.Context, cfg Config, c Campaign, o harness.Options, idx
 			agents = append(agents, cc)
 		}
 		check = sys.Engine.CheckInvariants
-		stSock = func() socket.Stats { return socket.Stats{} }
+		collect = func(last sim.Cycle) stats.Run { return stats.Collect(c.Name, sys, last) }
 	} else {
 		p := socket.DefaultParams(c.Sockets, 65536/o.Scale*8)
 		p.WrapHome = func(_ int, h core.Home) core.Home { return &chaosHome{Home: h, in: in} }
@@ -275,7 +274,7 @@ func RunCell(ctx context.Context, cfg Config, c Campaign, o harness.Options, idx
 			}
 		}
 		check = sys.CheckInvariants
-		stSock = sys.Stats
+		collect = func(last sim.Cycle) stats.Run { return stats.CollectSockets(c.Name, sys, last) }
 	}
 
 	in.tg = &tg
@@ -325,10 +324,7 @@ func RunCell(ctx context.Context, cfg Config, c Campaign, o harness.Options, idx
 	res.FlipsDetected, res.FlipsMasked, res.FlipsSilent = in.FlipsDetected, in.FlipsMasked, in.FlipsSilent
 	res.BrokenPutDEs, res.FirstBreakStep = in.BrokenPutDEs, in.FirstBreakStep
 	res.BrokenInjections = in.BrokenInjections
-	for _, eng := range tg.engines {
-		res.Engine.Add(eng.Stats())
-	}
-	res.Socket = stSock()
+	res.Engine = collect(last).Engine
 	if res.Violation != nil {
 		res.Violation.Summary = engineSummary(res.Engine)
 	}

@@ -166,23 +166,20 @@ func ablationBacking(o Options, w io.Writer) error {
 		Headers: []string{"suite", "MemoryBackup", "DirEvictBit", "dir-cache misses (MB/DEB)", "DirEvict hits"},
 	}
 	p := so.runner()
-	// backedRun's fields are exported so the cell JSON round-trips
-	// through checkpoint/resume.
-	type backedRun struct {
-		Cycles uint64       `json:"cycles"`
-		St     socket.Stats `json:"stats"`
-	}
+	spec := zdev(pre, 0, llc.NonInclusive)
 	type backedPair struct {
-		mb, deb *Future[backedRun]
+		mb, deb *Future[stats.Run]
 	}
 	futs := make([][]backedPair, len(mtSuites))
 	for si, suite := range mtSuites {
 		for _, prof := range suiteApps(so, suite) {
 			prof := prof
-			submit := func(name string, b socket.Backing) *Future[backedRun] {
-				return SubmitJob(p, prof.Name+"/"+name, func(ctx context.Context) (backedRun, error) {
-					c, st, err := runSocketBacked(ctx, so, sockets, pre, prof, b)
-					return backedRun{c, st}, err
+			submit := func(name string, b socket.Backing) *Future[stats.Run] {
+				return SubmitJob(p, prof.Name+"/"+name, func(ctx context.Context) (stats.Run, error) {
+					sp := socket.DefaultParams(sockets, 65536/so.Scale*8)
+					sp.Backing = b
+					streams := workload.Threads(prof, sockets*spec.Cores, so.Accesses, so.Scale, so.Seed)
+					return runSockets(ctx, sp, spec, streams, name, false)
 				})
 			}
 			futs[si] = append(futs[si], backedPair{submit("mb", socket.MemoryBackup), submit("deb", socket.DirEvictBit)})
@@ -206,9 +203,9 @@ func ablationBacking(o Options, w io.Writer) error {
 				continue
 			}
 			rel = append(rel, float64(mb.Cycles)/float64(deb.Cycles))
-			missMB += mb.St.DirCacheMisses
-			missDEB += deb.St.DirCacheMisses
-			hits += deb.St.DirEvictBitHits
+			missMB += mb.Socket.DirCacheMisses
+			missDEB += deb.Socket.DirCacheMisses
+			hits += deb.Socket.DirEvictBitHits
 		}
 		if rowErr {
 			cell := CellText(errs[len(errs)-1])
@@ -220,22 +217,6 @@ func ablationBacking(o Options, w io.Writer) error {
 	}
 	t.Fprint(w)
 	return errors.Join(errs...)
-}
-
-func runSocketBacked(ctx context.Context, o Options, sockets int, pre config.Preset, prof workload.Profile, backing socket.Backing) (uint64, socket.Stats, error) {
-	p := socket.DefaultParams(sockets, 65536/o.Scale*8)
-	p.Backing = backing
-	spec := zdev(pre, 0, llc.NonInclusive)
-	streams := workload.Threads(prof, sockets*spec.Cores, o.Accesses, o.Scale, o.Seed)
-	sys, err := socket.New(p, spec, streams)
-	if err != nil {
-		return 0, socket.Stats{}, err
-	}
-	c, err := sys.RunCtx(ctx, JobSteps(ctx))
-	if err != nil {
-		return 0, socket.Stats{}, err
-	}
-	return uint64(c), sys.Stats(), nil
 }
 
 // ablationPrefetch checks that the zero-DEV guarantee and the relative
@@ -261,9 +242,7 @@ func ablationPrefetch(o Options, w io.Writer) error {
 		var pf, devs uint64
 		for _, run := range r.runs[2] {
 			devs += run.Engine.DEVs
-			for _, c := range run.Core {
-				pf += c.Prefetches
-			}
+			pf += run.CPU.Prefetches
 		}
 		if devs != 0 {
 			return fmt.Errorf("prefetching broke the zero-DEV guarantee: %d", devs)

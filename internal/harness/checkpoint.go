@@ -15,8 +15,9 @@ import (
 
 // CheckpointVersion stamps checkpoint files; bump on incompatible
 // format changes so a stale checkpoint is refused with a clear error
-// instead of silently misdecoded.
-const CheckpointVersion = 1
+// instead of silently misdecoded. Version 2 stores every simulation
+// cell as one stats.Run.
+const CheckpointVersion = 2
 
 // CheckpointKey fingerprints everything that shapes cell results, so a
 // checkpoint is only ever replayed against the run that produced it.
@@ -153,7 +154,10 @@ func (cs *CheckpointState) store(scope string, seq int, unit string, v any) {
 
 // lookup serves a cell from the checkpoint: true means out holds the
 // recorded value. A unit-label mismatch is treated as a miss (the
-// submission order drifted; re-running is always safe).
+// submission order drifted; re-running is always safe), and so is a
+// value carrying fields out's type lacks: it was recorded under another
+// cell shape, and a lenient decode would serve it with out's other
+// fields zeroed.
 func (cs *CheckpointState) lookup(scope string, seq int, unit string, out any) bool {
 	cs.mu.Lock()
 	raw, ok := cs.cells[cellKey(scope, seq)]
@@ -168,10 +172,9 @@ func (cs *CheckpointState) lookup(scope string, seq int, unit string, out any) b
 	if rec.Unit != unit {
 		return false
 	}
-	if err := json.Unmarshal(rec.Value, out); err != nil {
-		return false
-	}
-	return true
+	dec := json.NewDecoder(bytes.NewReader(rec.Value))
+	dec.DisallowUnknownFields()
+	return dec.Decode(out) == nil
 }
 
 // Export returns a copy of the raw completed cells, keyed

@@ -113,23 +113,17 @@ func multisocketExp(o Options, w io.Writer) error {
 		Headers: []string{"suite", "ZDev-NoDir", "ZDev-1/8x", "fwd/NACK/merges (NoDir)"},
 	}
 	p := so.runner()
-	// socketRun's fields are exported so the cell JSON round-trips
-	// through checkpoint/resume.
-	type socketRun struct {
-		Cycles uint64       `json:"cycles"`
-		St     socket.Stats `json:"stats"`
-	}
-	futs := make([][][3]*Future[socketRun], len(mtSuites))
+	futs := make([][][3]*Future[stats.Run], len(mtSuites))
 	for si, suite := range mtSuites {
 		for _, prof := range suiteApps(so, suite) {
 			prof := prof
-			submit := func(name string, spec core.SystemSpec) *Future[socketRun] {
-				return SubmitJob(p, prof.Name+"/"+name, func(ctx context.Context) (socketRun, error) {
-					c, st, err := runSocketSys(ctx, so, sockets, spec, prof)
-					return socketRun{c, st}, err
+			submit := func(name string, spec core.SystemSpec) *Future[stats.Run] {
+				return SubmitJob(p, prof.Name+"/"+name, func(ctx context.Context) (stats.Run, error) {
+					streams := workload.Threads(prof, sockets*spec.Cores, so.Accesses, so.Scale, so.Seed)
+					return runSockets(ctx, socket.DefaultParams(sockets, 65536/so.Scale*8), spec, streams, name, false)
 				})
 			}
-			futs[si] = append(futs[si], [3]*Future[socketRun]{
+			futs[si] = append(futs[si], [3]*Future[stats.Run]{
 				submit("base", pre.Baseline(1, llc.NonInclusive)),
 				submit("nodir", zdev(pre, 0, llc.NonInclusive)),
 				submit("1-8x", zdev(pre, 1.0/8, llc.NonInclusive)),
@@ -156,9 +150,9 @@ func multisocketExp(o Options, w io.Writer) error {
 			}
 			sn = append(sn, float64(base.Cycles)/float64(zn.Cycles))
 			s8 = append(s8, float64(base.Cycles)/float64(z8.Cycles))
-			fwds += zn.St.SocketForwards
-			nacks += zn.St.DENFNacks
-			merges += zn.St.CorruptedMerges
+			fwds += zn.Socket.SocketForwards
+			nacks += zn.Socket.DENFNacks
+			merges += zn.Socket.CorruptedMerges
 		}
 		if rowErr {
 			cell := CellText(errs[len(errs)-1])
@@ -170,21 +164,4 @@ func multisocketExp(o Options, w io.Writer) error {
 	}
 	t.Fprint(w)
 	return errors.Join(errs...)
-}
-
-// runSocketSys runs a multithreaded profile across all sockets' cores
-// and returns the parallel completion time. Construction errors are
-// propagated so one bad unit cannot abort its siblings.
-func runSocketSys(ctx context.Context, o Options, sockets int, spec core.SystemSpec, prof workload.Profile) (cycles uint64, st socket.Stats, err error) {
-	p := socket.DefaultParams(sockets, 65536/o.Scale*8)
-	streams := workload.Threads(prof, sockets*spec.Cores, o.Accesses, o.Scale, o.Seed)
-	sys, err := socket.New(p, spec, streams)
-	if err != nil {
-		return 0, socket.Stats{}, err
-	}
-	c, err := sys.RunCtx(ctx, JobSteps(ctx))
-	if err != nil {
-		return 0, socket.Stats{}, err
-	}
-	return uint64(c), sys.Stats(), nil
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/socket"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -166,6 +167,30 @@ func runStreams(ctx context.Context, spec core.SystemSpec, streams []cpu.Stream,
 		return stats.Run{}, err
 	}
 	return stats.Collect(label, sys, cycles), nil
+}
+
+// runSockets is runStreams for a multi-socket system: it runs the
+// streams across every socket's cores and collects the same record.
+// With check set it also verifies the end-of-run invariants: figscale
+// asserts them at every width, while multisocket and ablation-backing
+// skip a check that adds about 7% to a quick multisocket run (2-thread
+// Xeon host). Construction errors are returned so one bad unit cannot
+// abort its siblings.
+func runSockets(ctx context.Context, p socket.Params, spec core.SystemSpec, streams []cpu.Stream, label string, check bool) (stats.Run, error) {
+	sys, err := socket.New(p, spec, streams)
+	if err != nil {
+		return stats.Run{}, err
+	}
+	cycles, err := sys.RunCtx(ctx, JobSteps(ctx))
+	if err != nil {
+		return stats.Run{}, err
+	}
+	if check {
+		if err := sys.CheckInvariants(); err != nil {
+			return stats.Run{}, fmt.Errorf("%s: %w", label, err)
+		}
+	}
+	return stats.CollectSockets(label, sys, cycles), nil
 }
 
 // runThreads runs a multithreaded workload (threads share the process

@@ -25,65 +25,73 @@ func testKey() CheckpointKey {
 // interrupted mid-flight, checkpointed, round-tripped through disk, and
 // resumed must produce output byte-identical to an uninterrupted run —
 // at 1 worker and at 8, resuming at a different worker count than the
-// interrupted run used.
+// interrupted run used. fig4 resumes single-socket cells, multisocket
+// four-socket ones.
 func TestKillAndResumeByteIdentical(t *testing.T) {
-	e, err := Get("fig4")
-	if err != nil {
-		t.Fatal(err)
-	}
 	o := tinyOptions()
 	o.Accesses = 1000
-	key := testKey()
 	for _, workers := range []int{1, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			o := o
-			o.Workers = workers
+			for _, id := range []string{"fig4", "multisocket"} {
+				id := id
+				t.Run(id, func(t *testing.T) {
+					e, err := Get(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					key := testKey()
+					key.IDs = []string{id}
+					o := o
+					o.Workers = workers
 
-			// Reference: one uninterrupted run.
-			var want bytes.Buffer
-			if _, err := e.Execute(context.Background(), o, &want); err != nil {
-				t.Fatalf("reference run: %v", err)
-			}
+					// Reference: one uninterrupted run.
+					var want bytes.Buffer
+					if _, err := e.Execute(context.Background(), o, &want); err != nil {
+						t.Fatalf("reference run: %v", err)
+					}
 
-			// Interrupted run: cancel shortly after the first cells land.
-			// Wherever the cancellation happens to fall, the completed
-			// cells are checkpointed and the rest render CANCELLED.
-			ctx, cancel := context.WithCancel(context.Background())
-			cs := NewCheckpoint(key)
-			io := o
-			io.Checkpoint = cs
-			go func() {
-				time.Sleep(30 * time.Millisecond)
-				cancel()
-			}()
-			var interrupted bytes.Buffer
-			_, ierr := e.Execute(ctx, io, &interrupted)
-			cancel()
-			if ctx.Err() != nil && ierr == nil && cs.Cells() == 0 {
-				t.Fatal("interrupted run reported neither an error nor any completed cells")
-			}
+					// Interrupted run: cancel shortly after the first cells
+					// land. Wherever the cancellation happens to fall, the
+					// completed cells are checkpointed and the rest render
+					// CANCELLED.
+					ctx, cancel := context.WithCancel(context.Background())
+					cs := NewCheckpoint(key)
+					io := o
+					io.Checkpoint = cs
+					go func() {
+						time.Sleep(30 * time.Millisecond)
+						cancel()
+					}()
+					var interrupted bytes.Buffer
+					_, ierr := e.Execute(ctx, io, &interrupted)
+					cancel()
+					if ctx.Err() != nil && ierr == nil && cs.Cells() == 0 {
+						t.Fatal("interrupted run reported neither an error nor any completed cells")
+					}
 
-			// The checkpoint a kill would leave behind must load back and
-			// seed a resume at the *other* worker count.
-			path := filepath.Join(t.TempDir(), "run.json")
-			if err := cs.Save(path); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := LoadCheckpoint(path, key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ro := o
-			ro.Workers = 9 - workers // 8 -> 1, 1 -> 8
-			ro.Checkpoint = loaded
-			var got bytes.Buffer
-			if _, err := e.Execute(context.Background(), ro, &got); err != nil {
-				t.Fatalf("resumed run: %v", err)
-			}
-			if !bytes.Equal(got.Bytes(), want.Bytes()) {
-				t.Errorf("resumed output differs from uninterrupted run\n--- want ---\n%s\n--- got ---\n%s",
-					want.String(), got.String())
+					// The checkpoint a kill would leave behind must load back
+					// and seed a resume at the *other* worker count.
+					path := filepath.Join(t.TempDir(), "run.json")
+					if err := cs.Save(path); err != nil {
+						t.Fatal(err)
+					}
+					loaded, err := LoadCheckpoint(path, key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ro := o
+					ro.Workers = 9 - workers // 8 -> 1, 1 -> 8
+					ro.Checkpoint = loaded
+					var got bytes.Buffer
+					if _, err := e.Execute(context.Background(), ro, &got); err != nil {
+						t.Fatalf("resumed run: %v", err)
+					}
+					if !bytes.Equal(got.Bytes(), want.Bytes()) {
+						t.Errorf("resumed output differs from uninterrupted run\n--- want ---\n%s\n--- got ---\n%s",
+							want.String(), got.String())
+					}
+				})
 			}
 		})
 	}
@@ -160,6 +168,40 @@ func TestCheckpointServesCompletedCells(t *testing.T) {
 	v, err := SubmitJob(r, "renamed-unit", func(context.Context) (int, error) { return -1, nil }).Result()
 	if err != nil || v != -1 {
 		t.Fatalf("drifted label served from checkpoint: got (%d, %v)", v, err)
+	}
+}
+
+// TestCheckpointCellShapeMismatchReruns: a cell recorded under a wider
+// cell type — a field the current type lacks — is a checkpoint miss
+// that re-runs, never a value served with its fields zeroed, while a
+// cell of the current shape is still served.
+func TestCheckpointCellShapeMismatchReruns(t *testing.T) {
+	type cell struct{ Cycles int }
+	type wider struct{ Cycles, Misses int }
+	cs := NewCheckpoint(testKey())
+	cs.store("exp", 1, "same", cell{Cycles: 11})
+	cs.store("exp", 2, "wide", wider{Cycles: 22, Misses: 3})
+
+	p := NewPool(context.Background(), 1, nil, "shape")
+	p.EnableCheckpoint(cs, "exp")
+	var ran []string
+	job := func(label string, fresh int) (cell, error) {
+		return SubmitJob(p, label, func(context.Context) (cell, error) {
+			ran = append(ran, label)
+			return cell{Cycles: fresh}, nil
+		}).Result()
+	}
+	if v, err := job("same", -1); err != nil || v.Cycles != 11 {
+		t.Fatalf("same-shape cell: got (%+v, %v), want the stored {Cycles:11}", v, err)
+	}
+	if v, err := job("wide", 99); err != nil || v.Cycles != 99 {
+		t.Fatalf("wider cell: got (%+v, %v), want the re-run {Cycles:99}", v, err)
+	}
+	if len(ran) != 1 || ran[0] != "wide" {
+		t.Fatalf("executed %v, want only the wider cell re-run", ran)
+	}
+	if p.CachedJobs() != 1 {
+		t.Fatalf("CachedJobs() = %d, want 1", p.CachedJobs())
 	}
 }
 
@@ -425,7 +467,8 @@ func TestLoadCheckpointRejects(t *testing.T) {
 	})
 	t.Run("version", func(t *testing.T) {
 		_, err := LoadCheckpoint(write("v99.json", `{"version":99}`), key)
-		if err == nil || !strings.Contains(err.Error(), "version 99, this build reads 1") {
+		want := fmt.Sprintf("version 99, this build reads %d", CheckpointVersion)
+		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("err = %v", err)
 		}
 	})

@@ -17,8 +17,8 @@ import (
 // shape up to 1024 cores across 16 sockets, comparing ZeroDEV(NoDir)
 // against a 1/8x sparse-MESI baseline on each rung. Per-core work
 // shrinks as the ladder climbs so the sweep's total access budget stays
-// roughly level, and every cell is collected through stats.LeanRun, so
-// the resident cost of a rung is independent of its core count.
+// roughly level. Every cell is collected into a stats.Run like every
+// other experiment's; per core it keeps only a cycle count.
 
 func init() {
 	register("figscale",
@@ -41,10 +41,10 @@ func scaleAccesses(o Options, g config.Org) int {
 // scaleInterval is the per-core retirement interval for streamed IPC.
 const scaleInterval = 1000
 
-func runScaleOrg(ctx context.Context, o Options, g config.Org, id backend.ID, ratio float64) (stats.LeanRun, error) {
+func runScaleOrg(ctx context.Context, o Options, g config.Org, id backend.ID, ratio float64) (stats.Run, error) {
 	spec, err := g.Preset.ForBackend(id, ratio)
 	if err != nil {
-		return stats.LeanRun{}, err
+		return stats.Run{}, err
 	}
 	spec.CPU.StatInterval = scaleInterval
 	p := socket.DefaultParams(g.Sockets, 65536/o.Scale*8)
@@ -52,18 +52,7 @@ func runScaleOrg(ctx context.Context, o Options, g config.Org, id backend.ID, ra
 	p.IntraGroupCycles = 40
 	prof := workload.MustGet("canneal")
 	streams := workload.Threads(prof, g.TotalCores(), scaleAccesses(o, g), g.Preset.Scale, o.Seed)
-	sys, err := socket.New(p, spec, streams)
-	if err != nil {
-		return stats.LeanRun{}, err
-	}
-	cycles, err := sys.RunCtx(ctx, JobSteps(ctx))
-	if err != nil {
-		return stats.LeanRun{}, err
-	}
-	if err := sys.CheckInvariants(); err != nil {
-		return stats.LeanRun{}, fmt.Errorf("%s/%s: %w", g.Name, id, err)
-	}
-	return stats.CollectLean(g.Name, sys, cycles), nil
+	return runSockets(ctx, p, spec, streams, g.Name+"/"+string(id), true)
 }
 
 func figScale(o Options, w io.Writer) error {
@@ -75,16 +64,16 @@ func figScale(o Options, w io.Writer) error {
 	}
 	p := o.runner()
 	type rung struct {
-		zdev, mesi *Future[stats.LeanRun]
+		zdev, mesi *Future[stats.Run]
 	}
 	futs := make([]rung, len(ladder))
 	for i, g := range ladder {
 		g := g
 		futs[i] = rung{
-			zdev: SubmitJob(p, g.Name+"/zdev", func(ctx context.Context) (stats.LeanRun, error) {
+			zdev: SubmitJob(p, g.Name+"/zdev", func(ctx context.Context) (stats.Run, error) {
 				return runScaleOrg(ctx, o, g, backend.ZeroDEV, 0)
 			}),
-			mesi: SubmitJob(p, g.Name+"/mesi", func(ctx context.Context) (stats.LeanRun, error) {
+			mesi: SubmitJob(p, g.Name+"/mesi", func(ctx context.Context) (stats.Run, error) {
 				return runScaleOrg(ctx, o, g, backend.SparseMESI, 1.0/8)
 			}),
 		}
@@ -100,11 +89,11 @@ func figScale(o Options, w io.Writer) error {
 			t.AddRow(g.Name, fmt.Sprint(g.TotalCores()), cell, cell, cell, cell, cell, cell, cell, cell, cell)
 			continue
 		}
-		devKI := func(l stats.LeanRun) float64 {
-			if l.Retired == 0 {
+		devKI := func(r stats.Run) float64 {
+			if r.CPU.Retired == 0 {
 				return 0
 			}
-			return 1000 * float64(l.Engine.DEVs) / float64(l.Retired)
+			return 1000 * float64(r.Engine.DEVs) / float64(r.CPU.Retired)
 		}
 		speedup := 0.0
 		if zd.Cycles > 0 {

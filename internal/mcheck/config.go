@@ -116,6 +116,9 @@ func (c Config) validate(maxCores int) error {
 	if c.Workers < 1 {
 		return fmt.Errorf("mcheck: workers must be positive, got %d", c.Workers)
 	}
+	if c.JobTimeout < 0 {
+		return fmt.Errorf("mcheck: job timeout must be at least 0 (0 = off), got %v", c.JobTimeout)
+	}
 	if _, ok := backend.Get(c.Backend); !ok {
 		return fmt.Errorf("mcheck: %w %q", backend.ErrUnknownBackend, c.Backend)
 	}
@@ -215,7 +218,7 @@ func (c Config) spec() core.SystemSpec {
 		s.Dir = func() directory.Directory { return directory.MustReplacementDisabled(dirEntries, dirEntries) }
 	default: // zerodev
 		s.Mode, s.Repl = llc.NonInclusive, llc.DataLRU
-		s.ZeroDEV = true
+		s.Backend = backend.ZeroDEV
 		s.Policy = c.Policy
 		s.Dir = func() directory.Directory {
 			if dirEntries == 0 {

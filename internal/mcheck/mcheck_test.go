@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -188,6 +189,7 @@ func TestConfigValidate(t *testing.T) {
 		{Cores: 2, Addrs: 2, Depth: 4, Policy: core.FPSS, Workers: 0},
 		{Cores: 2, Addrs: 2, Depth: 4, Policy: core.DEPolicy(42), Workers: 1},
 		{Cores: 2, Addrs: 2, Depth: 4, Policy: core.FPSS, DirEntries: -1, Workers: 1},
+		{Cores: 2, Addrs: 2, Depth: 4, Policy: core.FPSS, Workers: 1, JobTimeout: -time.Second},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

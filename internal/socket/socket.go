@@ -163,7 +163,6 @@ func New(p Params, spec core.SystemSpec, streams []cpu.Stream) (*System, error) 
 		up := spec.Uncore
 		up.Cores = spec.Cores
 		up.Backend = spec.Backend
-		up.ZeroDEV = spec.ZeroDEV
 		up.Policy = spec.Policy
 		up.Socket = s
 		var h core.Home = &homeAgent{sys: sys, socket: s}

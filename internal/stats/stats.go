@@ -17,72 +17,122 @@ import (
 	"repro/internal/dram"
 	"repro/internal/noc"
 	"repro/internal/sim"
+	"repro/internal/socket"
+	"repro/internal/stream"
 )
 
-// Run is the complete measurement of one simulation.
+// Run is the complete measurement of one simulation, single-socket or
+// multi-socket: every counter is summed over sockets and cores, and
+// the only per-core value kept is each core's cycle count.
 type Run struct {
-	Label   string
-	Cycles  sim.Cycle // parallel completion time
-	Core    []cpu.Stats
-	Engine  core.Stats
-	Traffic noc.Traffic
-	DRAM    dram.Stats
+	Label  string
+	Cycles sim.Cycle // parallel completion time
+	// CPU sums every core's counters (its Cycles is total core-cycles);
+	// CoreCycles holds each core's own completion time in socket-major
+	// order, for WeightedSpeedup.
+	CPU        cpu.Stats
+	CoreCycles []sim.Cycle
+	// IntervalIPC folds every core's per-interval IPC samples in
+	// socket-major core order (empty unless cpu.Params.StatInterval is
+	// set).
+	IntervalIPC stream.Stream
+	Engine      core.Stats
+	Traffic     noc.Traffic
+	DRAM        dram.Stats
+	// Socket holds the inter-socket counters (zero for one socket).
+	Socket socket.Stats
 
 	// LLC line population at end of run, for occupancy reporting.
 	LLCData, LLCSpilled, LLCFused int
-	// DirLive/DirCap snapshot directory occupancy; DirCap < 0 means
-	// unbounded, DirPeak is its high-water mark, and DirPeakOverflow is
-	// the peak entry population that would not fit the 1x organization
-	// (the Fig. 5 projection).
-	DirLive, DirCap, DirPeak, DirPeakOverflow int
+	// DirCap is one socket's directory capacity (< 0 means unbounded),
+	// DirPeak its high-water mark, and DirPeakOverflow the peak entry
+	// population that would not fit the 1x organization (the Fig. 5
+	// projection); the peaks are summed over sockets.
+	DirCap, DirPeak, DirPeakOverflow int
+
+	// Home-memory pressure (multi-socket only): peak live per-block
+	// metadata entries and the number of segment writebacks that had to
+	// coarsen to a superset encoding (compressed organizations only).
+	MetaHighWater int
+	CoarseWrites  uint64
 }
 
-// Collect snapshots a finished system.
+// Collect snapshots a finished single-socket system.
 func Collect(label string, sys *core.System, cycles sim.Cycle) Run {
+	r := Run{Label: label, Cycles: cycles, DRAM: sys.Home.DRAM().Stats()}
+	r.addSocket(sys.Engine, sys.Cores)
+	return r
+}
+
+// CollectSockets snapshots a finished multi-socket system.
+func CollectSockets(label string, sys *socket.System, cycles sim.Cycle) Run {
 	r := Run{
-		Label:   label,
-		Cycles:  cycles,
-		Core:    sys.CoreStats(),
-		Engine:  *sys.Engine.Stats(),
-		Traffic: *sys.Engine.Mesh().Traffic(),
-		DRAM:    sys.Home.DRAM().Stats(),
+		Label:         label,
+		Cycles:        cycles,
+		DRAM:          sys.DRAM().Stats(),
+		Socket:        sys.Stats(),
+		MetaHighWater: sys.Mem().MetaHighWater(),
+		CoarseWrites:  sys.Mem().CoarseSegmentWrites(),
 	}
-	r.LLCData, r.LLCSpilled, r.LLCFused = sys.Engine.LLC().CountKinds()
-	r.DirLive, r.DirCap = sys.Engine.Directory().Occupancy()
-	if pk, ok := sys.Engine.Directory().(interface{ Peak() int }); ok {
-		r.DirPeak = pk.Peak()
-	}
-	if po, ok := sys.Engine.Directory().(interface{ PeakOverflow() int }); ok {
-		r.DirPeakOverflow = po.PeakOverflow()
+	for _, sock := range sys.Sockets {
+		r.addSocket(sock.Engine, sock.Cores)
 	}
 	return r
 }
 
-// CoreCacheMisses sums L2 misses — the paper's "core cache misses".
-func (r Run) CoreCacheMisses() uint64 {
-	var n uint64
-	for _, c := range r.Core {
-		n += c.L2Misses
+// addSocket is the fold both collectors share: it adds one socket's
+// engine, interconnect, occupancy and cores to r.
+func (r *Run) addSocket(eng *core.Engine, cores []*cpu.Core) {
+	r.Engine.Add(eng.Stats())
+	r.Traffic.Add(eng.Mesh().Traffic())
+	d, sp, fu := eng.LLC().CountKinds()
+	r.LLCData += d
+	r.LLCSpilled += sp
+	r.LLCFused += fu
+	dir := eng.Directory()
+	_, r.DirCap = dir.Occupancy()
+	if pk, ok := dir.(interface{ Peak() int }); ok {
+		r.DirPeak += pk.Peak()
 	}
-	return n
+	if po, ok := dir.(interface{ PeakOverflow() int }); ok {
+		r.DirPeakOverflow += po.PeakOverflow()
+	}
+	for _, c := range cores {
+		s := c.Stats()
+		r.CPU.Add(&s)
+		r.CoreCycles = append(r.CoreCycles, s.Cycles)
+		r.IntervalIPC.Merge(c.IntervalIPC().Flatten())
+	}
 }
 
-// Retired sums retired instructions across cores.
-func (r Run) Retired() uint64 {
-	var n uint64
-	for _, c := range r.Core {
-		n += c.Retired
-	}
-	return n
-}
+// CoreCacheMisses is the summed L2 misses — the paper's "core cache
+// misses".
+func (r Run) CoreCacheMisses() uint64 { return r.CPU.L2Misses }
 
 // MPKI is core cache misses per kilo-instruction.
 func (r Run) MPKI() float64 {
-	ret := r.Retired()
-	if ret == 0 {
+	if r.CPU.Retired == 0 {
 		return 0
 	}
-	return 1000 * float64(r.CoreCacheMisses()) / float64(ret)
+	return 1000 * float64(r.CPU.L2Misses) / float64(r.CPU.Retired)
+}
+
+// TrafficPerMiss is interconnect bytes per core-cache miss, the
+// normalized-traffic stand-in when no baseline run is at hand.
+func (r Run) TrafficPerMiss() float64 {
+	if r.CPU.L2Misses == 0 {
+		return 0
+	}
+	return float64(r.Traffic.TotalBytes()) / float64(r.CPU.L2Misses)
+}
+
+// RecoveryEvents sums the ZeroDEV recovery-path activations: corrupted
+// home fetches, GET_DE flows, last-sharer retrievals at the LLC, home
+// last-copy restores, and imprecise-segment reconciliations.
+func (r Run) RecoveryEvents() uint64 {
+	return r.Engine.CorruptedFetches + r.Engine.GetDEFlows +
+		r.Engine.LastSharerRetrievals + r.Socket.LastCopyRestores +
+		r.Engine.ImpreciseReconciles
 }
 
 // Speedup is the parallel-completion-time speedup of x over base,
@@ -98,17 +148,17 @@ func Speedup(base, x Run) float64 {
 // per-core cycle ratios (each program retires a fixed instruction
 // count, so cycle ratio equals IPC ratio).
 func WeightedSpeedup(base, x Run) float64 {
-	if len(base.Core) != len(x.Core) || len(x.Core) == 0 {
+	if len(base.CoreCycles) != len(x.CoreCycles) || len(x.CoreCycles) == 0 {
 		return 0
 	}
 	var s float64
-	for i := range x.Core {
-		if x.Core[i].Cycles == 0 {
+	for i, c := range x.CoreCycles {
+		if c == 0 {
 			return 0
 		}
-		s += float64(base.Core[i].Cycles) / float64(x.Core[i].Cycles)
+		s += float64(base.CoreCycles[i]) / float64(c)
 	}
-	return s / float64(len(x.Core))
+	return s / float64(len(x.CoreCycles))
 }
 
 // NormTraffic is x's interconnect bytes relative to base.

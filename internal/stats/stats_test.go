@@ -7,11 +7,12 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/noc"
+	"repro/internal/sim"
 )
 
 func TestSpeedupAndWeightedSpeedup(t *testing.T) {
-	base := Run{Cycles: 2000, Core: []cpu.Stats{{Cycles: 2000}, {Cycles: 1000}}}
-	x := Run{Cycles: 1000, Core: []cpu.Stats{{Cycles: 1000}, {Cycles: 1000}}}
+	base := Run{Cycles: 2000, CoreCycles: []sim.Cycle{2000, 1000}}
+	x := Run{Cycles: 1000, CoreCycles: []sim.Cycle{1000, 1000}}
 	if got := Speedup(base, x); got != 2 {
 		t.Fatalf("Speedup = %v", got)
 	}
@@ -27,8 +28,8 @@ func TestNormalizations(t *testing.T) {
 	var bt, xt noc.Traffic
 	bt.Bytes[0] = 100
 	xt.Bytes[0] = 80
-	base := Run{Traffic: bt, Core: []cpu.Stats{{L2Misses: 50, Retired: 10000}}}
-	x := Run{Traffic: xt, Core: []cpu.Stats{{L2Misses: 40, Retired: 10000}}}
+	base := Run{Traffic: bt, CPU: cpu.Stats{L2Misses: 50, Retired: 10000}}
+	x := Run{Traffic: xt, CPU: cpu.Stats{L2Misses: 40, Retired: 10000}}
 	if got := NormTraffic(base, x); got != 0.8 {
 		t.Fatalf("NormTraffic = %v", got)
 	}
