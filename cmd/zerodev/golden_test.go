@@ -65,39 +65,28 @@ func TestListBackendsGolden(t *testing.T) {
 	golden(t, "list_backends", buf.Bytes())
 }
 
-// TestRunExperimentGolden pins the full table output of quick
-// experiments at a fixed seed and scale, catching accidental changes to
-// either the simulator's numbers or the report formatting. The table
-// covers a single-socket speedup figure (fig4), the weighted-speedup
-// figure (fig2) and the multi-socket tables (multisocket,
-// ablation-backing, figscale). Each runs through Execute with several
-// workers, so it also re-checks that the CLI path's output is
+// TestRunExperimentGolden pins the full table output of every
+// registered experiment at a fixed seed and scale, catching accidental
+// changes to either the simulator's numbers or the report formatting;
+// an experiment without a golden fails. fig4 runs at 4000 accesses per
+// core, every other experiment at 1000. Each runs through Execute with
+// several workers, so it also re-checks that the CLI path's output is
 // scheduling-independent.
 func TestRunExperimentGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	for _, tc := range []struct {
-		id       string
-		accesses int
-	}{
-		{"fig4", 4000},
-		{"fig2", 1000},
-		{"multisocket", 1000},
-		{"ablation-backing", 1000},
-		{"figscale", 1000},
-	} {
-		t.Run(tc.id, func(t *testing.T) {
-			e, err := harness.Get(tc.id)
-			if err != nil {
-				t.Fatal(err)
+	for _, e := range harness.List() {
+		t.Run(e.ID, func(t *testing.T) {
+			o := harness.Options{Scale: 32, Accesses: 1000, Seed: 1, Quick: true, Workers: 4}
+			if e.ID == "fig4" {
+				o.Accesses = 4000
 			}
-			o := harness.Options{Scale: 32, Accesses: tc.accesses, Seed: 1, Quick: true, Workers: 4}
 			var buf bytes.Buffer
 			if _, err := e.Execute(context.Background(), o, &buf); err != nil {
 				t.Fatal(err)
 			}
-			golden(t, tc.id+"_quick", buf.Bytes())
+			golden(t, e.ID+"_quick", buf.Bytes())
 		})
 	}
 }
