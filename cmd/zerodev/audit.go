@@ -44,7 +44,6 @@ func auditCmd(ctx context.Context, args []string) int {
 	var seed uint64
 	fs.Uint64Var(&seed, "seed", 1, "campaign seed (workloads and fault sequence)")
 	fs.IntVar(&o.Workers, "workers", o.Workers, "parallel campaign cells (output is identical at any value)")
-	fs.IntVar(&o.Retries, "retries", o.Retries, "extra attempts for a panicking cell before it is recorded as failed")
 	fs.StringVar(&o.CrashDir, "crash", o.CrashDir, "directory for panic replay bundles (\"\" disables)")
 	fs.DurationVar(&o.JobTimeout, "job-timeout", 0, "per-cell watchdog: cancel a cell running longer than this, dump diagnostics, record TIMEOUT (0 = off)")
 	ckptPath := fs.String("checkpoint", filepath.Join("results", "checkpoint", "audit.json"),

@@ -263,8 +263,8 @@ func benchCmd(ctx context.Context, args []string) int {
 }
 
 // benchIDs expands a comma-separated experiment list, validating every
-// name against the harness registry. "all" expands to the full paper
-// order; "" is empty.
+// name against the harness registry. "all" expands to every experiment
+// in `zerodev list` order; "" is empty.
 func benchIDs(s string) ([]string, error) {
 	if s == "" {
 		return nil, nil

@@ -6,7 +6,7 @@
 //
 //	zerodev list
 //	zerodev run [-scale N] [-accesses N] [-seed N] [-quick] [-workers N] [-backend B,..] [-list-backends] [-job-timeout D] [-resume FILE] <experiment>...
-//	zerodev run all            # every experiment, paper order
+//	zerodev run all            # every experiment, in `zerodev list` order
 //	zerodev single [-config baseline|zerodev] [-ratio R] [-policy P] <app>
 //	zerodev audit [-faults K,..] [-campaigns C,..] [-backend B,..] [-audit-every N] [-fail-fast] [-job-timeout D] [-resume FILE]
 //	zerodev check [-cores N] [-addrs N] [-depth N] [-policies P,..] [-backends B,..] [-workers N] [-job-timeout D] [-replay FILE] [-list]

@@ -344,19 +344,7 @@ func RunCampaigns(ctx context.Context, cfg Config, cells []Campaign, o harness.O
 		Headers: []string{"cell", "backend", "policy", "skts", "app", "steps", "audits",
 			"flips d/m/s", "wbde -/+", "nack-", "storm", "spur", "nk/iv/dv/ep", "getde/corr/last", "verdict"},
 	}
-	p := harness.NewPool(ctx, o.Workers, o.Progress, "audit")
-	p.EnableRecovery(harness.ReplayMeta{
-		Experiment: "audit",
-		Scale:      o.Scale,
-		Accesses:   o.Accesses,
-		Seed:       o.Seed,
-		Workers:    o.Workers,
-		Backends:   o.Backends,
-	}, o.CrashDir, o.Retries)
-	p.EnableWatchdog(o.JobTimeout)
-	if o.Checkpoint != nil {
-		p.EnableCheckpoint(o.Checkpoint, "audit")
-	}
+	p := harness.NewRunPool(ctx, o, "audit")
 
 	run := func(c Campaign, idx int) *harness.Future[CellResult] {
 		return harness.SubmitJob(p, c.Name, func(jctx context.Context) (CellResult, error) {

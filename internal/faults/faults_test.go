@@ -112,9 +112,9 @@ func TestBrokenRecoveryCaughtWithinOneInterval(t *testing.T) {
 }
 
 // TestCrashCellYieldsBundleAndErr pins the crash-resilience contract
-// end to end: a cell that panics mid-campaign is retried, renders as
-// ERR, writes a replay bundle under the crash directory, and fails the
-// campaign — without disturbing its sibling cell.
+// end to end: a cell that panics mid-campaign renders as ERR, writes a
+// replay bundle under the crash directory, and fails the campaign —
+// without disturbing its sibling cell.
 func TestCrashCellYieldsBundleAndErr(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AuditEvery = 300
@@ -123,7 +123,6 @@ func TestCrashCellYieldsBundleAndErr(t *testing.T) {
 	o := tinyOptions()
 	o.Accesses = 800
 	o.CrashDir = t.TempDir()
-	o.Retries = 1
 	var buf bytes.Buffer
 	err := RunCampaigns(context.Background(), cfg, cells, o, &buf)
 	if err == nil {

@@ -12,7 +12,6 @@ import (
 	"repro/internal/llc"
 	"repro/internal/socket"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // Ablations of the design choices DESIGN.md calls out, plus the
@@ -39,33 +38,25 @@ func fig12(o Options, w io.Writer) error {
 		Title:   "Fig 12 (derived): LLC space overhead vs read critical-path overhead per policy",
 		Headers: []string{"policy", "spilled lines %", "fused lines %", "extra reads/1k", "fwd reads/1k", "avg read lat"},
 	}
-	p := o.runner()
 	policies := []core.DEPolicy{core.SpillAll, core.FPSS, core.FuseAll}
-	futs := make([][]*Future[stats.Run], len(policies))
+	units := unitsOf(o, mtSuites)
+	grids := make([]grid[stats.Run], len(policies))
 	for pi, pol := range policies {
-		pol := pol
-		for _, suite := range mtSuites {
-			for _, u := range groupUnits(o, suite) {
-				u := u
-				futs[pi] = append(futs[pi], SubmitJob(p, u.name+"/"+pol.String(), func(ctx context.Context) (stats.Run, error) {
-					return runStreams(ctx, pre.ZeroDEV(0, pol, llc.DataLRU, llc.NonInclusive), u.make(pre.Cores), pol.String())
-				}))
-			}
-		}
+		grids[pi] = unitGrid(o, units, []namedSpec{{pol.String(), pre.ZeroDEV(0, pol, llc.DataLRU, llc.NonInclusive)}})
 	}
 	var errs []error
 	for pi, pol := range policies {
+		rows, err := grids[pi].all()
+		if err != nil {
+			errs = append(errs, err)
+			cell := CellText(err)
+			t.AddRow(pol.String(), cell, cell, cell, cell, cell)
+			continue
+		}
 		var spill, fuse, blocks, extra, fwd, reads float64
 		var latSum, latN uint64
-		var perr error
-		for _, fut := range futs[pi] {
-			x, err := fut.Result()
-			if err != nil {
-				if perr == nil {
-					perr = err
-				}
-				continue
-			}
+		for _, runs := range rows {
+			x := runs[0]
 			spill += float64(x.LLCSpilled)
 			fuse += float64(x.LLCFused)
 			blocks += float64(pre.LLCBytes / 64)
@@ -74,12 +65,6 @@ func fig12(o Options, w io.Writer) error {
 			reads += float64(x.Engine.Reads)
 			latSum += x.Engine.LatReadLLCHit + x.Engine.LatReadForward + x.Engine.LatReadMemory
 			latN += x.Engine.NReadLLCHit + x.Engine.NReadForward + x.Engine.NReadMemory
-		}
-		if perr != nil {
-			errs = append(errs, perr)
-			cell := CellText(perr)
-			t.AddRow(pol.String(), cell, cell, cell, cell, cell)
-			continue
 		}
 		t.AddRow(pol.String(),
 			fmt.Sprintf("%.1f%%", 100*spill/blocks),
@@ -106,8 +91,7 @@ func ablationRepl(o Options, w io.Writer) error {
 		Headers: []string{"suite", "disabled", "enabled", "displaced entries (enabled)"},
 	}
 	var errs []error
-	for _, suite := range allSuites {
-		r := sweepGroup(o, suite, pre.Baseline(1, llc.NonInclusive), pre.Cores, cfgs)
+	for si, r := range sweepGroups(o, allSuites, pre.Baseline(1, llc.NonInclusive), cfgs) {
 		errs = append(errs, r.failed())
 		var displaced, devs uint64
 		for _, run := range r.runs[1] {
@@ -117,7 +101,7 @@ func ablationRepl(o Options, w io.Writer) error {
 		if devs != 0 {
 			return fmt.Errorf("replacement-enabled ZeroDEV produced %d DEVs", devs)
 		}
-		t.AddRow(suite, r.geoCell(0), r.geoCell(1), fmt.Sprintf("%d", displaced))
+		t.AddRow(allSuites[si], r.geoCell(0), r.geoCell(1), fmt.Sprintf("%d", displaced))
 	}
 	t.Fprint(w)
 	return errors.Join(errs...)
@@ -135,13 +119,12 @@ func ablationLLCRepl(o Options, w io.Writer) error {
 		Headers: []string{"suite", "LRU", "spLRU", "dataLRU"},
 	}
 	var errs []error
-	for _, suite := range allSuites {
-		r := sweepGroup(o, suite, pre.Baseline(1, llc.NonInclusive), pre.Cores, cfgs)
+	for si, r := range sweepGroups(o, allSuites, pre.Baseline(1, llc.NonInclusive), cfgs) {
 		errs = append(errs, r.failed())
-		row := []string{suite}
+		row := []string{allSuites[si]}
 		for ci := range cfgs {
-			if r.err(ci) != nil {
-				row = append(row, "ERR")
+			if err := r.err(ci); err != nil {
+				row = append(row, CellText(err))
 				continue
 			}
 			var wbde uint64
@@ -165,52 +148,32 @@ func ablationBacking(o Options, w io.Writer) error {
 		Title:   "Ablation III-D5: socket-directory backing on 4 sockets (ZeroDEV NoDir); cycles relative to MemoryBackup",
 		Headers: []string{"suite", "MemoryBackup", "DirEvictBit", "dir-cache misses (MB/DEB)", "DirEvict hits"},
 	}
-	p := so.runner()
+	mb := socket.DefaultParams(sockets, 65536/so.Scale*8)
+	deb := mb
+	deb.Backing = socket.DirEvictBit
 	spec := zdev(pre, 0, llc.NonInclusive)
-	type backedPair struct {
-		mb, deb *Future[stats.Run]
-	}
-	futs := make([][]backedPair, len(mtSuites))
+	cols := []socketCol{{"mb", mb, spec}, {"deb", deb, spec}}
+	grids := make([]grid[stats.Run], len(mtSuites))
 	for si, suite := range mtSuites {
-		for _, prof := range suiteApps(so, suite) {
-			prof := prof
-			submit := func(name string, b socket.Backing) *Future[stats.Run] {
-				return SubmitJob(p, prof.Name+"/"+name, func(ctx context.Context) (stats.Run, error) {
-					sp := socket.DefaultParams(sockets, 65536/so.Scale*8)
-					sp.Backing = b
-					streams := workload.Threads(prof, sockets*spec.Cores, so.Accesses, so.Scale, so.Seed)
-					return runSockets(ctx, sp, spec, streams, name, false)
-				})
-			}
-			futs[si] = append(futs[si], backedPair{submit("mb", socket.MemoryBackup), submit("deb", socket.DirEvictBit)})
-		}
+		grids[si] = socketGrid(so, groupUnits(so, suite), cols)
 	}
 	var errs []error
 	for si, suite := range mtSuites {
+		rows, err := grids[si].all()
+		if err != nil {
+			errs = append(errs, err)
+			cell := CellText(err)
+			t.AddRow(suite, cell, cell, cell, cell)
+			continue
+		}
 		var rel []float64
 		var missMB, missDEB, hits uint64
-		rowErr := false
-		for _, pair := range futs[si] {
-			mb, e1 := pair.mb.Result()
-			deb, e2 := pair.deb.Result()
-			for _, e := range []error{e1, e2} {
-				if e != nil {
-					errs = append(errs, e)
-					rowErr = true
-				}
-			}
-			if rowErr {
-				continue
-			}
+		for _, runs := range rows {
+			mb, deb := runs[0], runs[1]
 			rel = append(rel, float64(mb.Cycles)/float64(deb.Cycles))
 			missMB += mb.Socket.DirCacheMisses
 			missDEB += deb.Socket.DirCacheMisses
 			hits += deb.Socket.DirEvictBitHits
-		}
-		if rowErr {
-			cell := CellText(errs[len(errs)-1])
-			t.AddRow(suite, cell, cell, cell, cell)
-			continue
 		}
 		t.AddRow(suite, "1.000", f3(stats.GeoMean(rel)),
 			fmt.Sprintf("%d/%d", missMB, missDEB), fmt.Sprintf("%d", hits))
@@ -236,8 +199,7 @@ func ablationPrefetch(o Options, w io.Writer) error {
 		Headers: []string{"suite", "base+pf", "ZDev(NoDir)", "ZDev(NoDir)+pf", "prefetches"},
 	}
 	var errs []error
-	for _, suite := range allSuites {
-		r := sweepGroup(o, suite, pre.Baseline(1, llc.NonInclusive), pre.Cores, cfgs)
+	for si, r := range sweepGroups(o, allSuites, pre.Baseline(1, llc.NonInclusive), cfgs) {
 		errs = append(errs, r.failed())
 		var pf, devs uint64
 		for _, run := range r.runs[2] {
@@ -247,7 +209,7 @@ func ablationPrefetch(o Options, w io.Writer) error {
 		if devs != 0 {
 			return fmt.Errorf("prefetching broke the zero-DEV guarantee: %d", devs)
 		}
-		t.AddRow(suite, r.geoCell(0), r.geoCell(1), r.geoCell(2), fmt.Sprintf("%d", pf))
+		t.AddRow(allSuites[si], r.geoCell(0), r.geoCell(1), r.geoCell(2), fmt.Sprintf("%d", pf))
 	}
 	t.Fprint(w)
 	return errors.Join(errs...)
@@ -275,43 +237,34 @@ func compressExp(o Options, w io.Writer) error {
 		Total, Precise int
 		Over           int
 	}
-	p := so.runner()
-	var futs []*Future[[]acc]
-	for _, prof := range suiteApps(so, "SERVER") {
-		prof := prof
-		futs = append(futs, SubmitJob(p, prof.Name+"/compress", func(ctx context.Context) ([]acc, error) {
-			part := make([]acc, len(budgets))
-			spec := zdev(pre, 0, llc.NonInclusive)
-			sys := core.NewSystem(spec, workload.Threads(prof, spec.Cores, so.Accesses, so.Scale, so.Seed))
-			if _, err := sys.RunCtx(ctx, JobSteps(ctx)); err != nil {
-				return nil, err
-			}
-			sys.Engine.LLC().ForEachDE(func(addr coher.Addr, fused bool, e coher.Entry) {
-				for bi, b := range budgets {
-					c, err := coher.Compress(e, pre.Cores, b)
-					if err != nil {
-						continue
-					}
-					part[bi].Total++
-					if c.Precise() {
-						part[bi].Precise++
-					} else {
-						part[bi].Over += coher.OverInvalidation(e, c)
-					}
-				}
-			})
-			return part, nil
-		}))
-	}
-	sums := make([]acc, len(budgets))
-	var errs []error
-	for _, fut := range futs {
-		parts, err := fut.Result()
-		if err != nil {
-			errs = append(errs, err)
-			continue
+	spec := zdev(pre, 0, llc.NonInclusive)
+	units := groupUnits(so, "SERVER")
+	g := newGrid(so, unitNames(units), []string{"compress"}, func(ctx context.Context, r, _ int) ([]acc, error) {
+		part := make([]acc, len(budgets))
+		sys := core.NewSystem(spec, units[r].make(spec.Cores))
+		if _, err := sys.RunCtx(ctx, JobSteps(ctx)); err != nil {
+			return nil, err
 		}
-		for bi, part := range parts {
+		sys.Engine.LLC().ForEachDE(func(addr coher.Addr, fused bool, e coher.Entry) {
+			for bi, b := range budgets {
+				c, err := coher.Compress(e, pre.Cores, b)
+				if err != nil {
+					continue
+				}
+				part[bi].Total++
+				if c.Precise() {
+					part[bi].Precise++
+				} else {
+					part[bi].Over += coher.OverInvalidation(e, c)
+				}
+			}
+		})
+		return part, nil
+	})
+	rows, err := g.all()
+	sums := make([]acc, len(budgets))
+	for _, parts := range rows {
+		for bi, part := range parts[0] {
 			sums[bi].Total += part.Total
 			sums[bi].Precise += part.Precise
 			sums[bi].Over += part.Over
@@ -319,6 +272,12 @@ func compressExp(o Options, w io.Writer) error {
 	}
 	for bi, b := range budgets {
 		s := sums[bi]
+		sockets := fmt.Sprintf("%d (full map: %d)", coher.MaxSocketsCompressed(b), coher.MaxSocketsWithSocketPartition(pre.Cores))
+		if err != nil {
+			cell := CellText(err)
+			t.AddRow(fmt.Sprintf("%d", b), cell, cell, sockets)
+			continue
+		}
 		if s.Total == 0 {
 			continue
 		}
@@ -330,8 +289,8 @@ func compressExp(o Options, w io.Writer) error {
 		t.AddRow(fmt.Sprintf("%d", b),
 			fmt.Sprintf("%.1f%%", 100*float64(s.Precise)/float64(s.Total)),
 			fmt.Sprintf("%.1f cores", avgOver),
-			fmt.Sprintf("%d (full map: %d)", coher.MaxSocketsCompressed(b), coher.MaxSocketsWithSocketPartition(pre.Cores)))
+			sockets)
 	}
 	t.Fprint(w)
-	return errors.Join(errs...)
+	return err
 }

@@ -6,26 +6,25 @@ import (
 	"io"
 )
 
-// This file is the cell decomposition surface the campaign service
-// (internal/serve) builds on. An experiment's execution decomposes into
-// cells — the independent (unit, config) simulation jobs it submits to
-// its pool — and the decomposition is a pure function of the Options:
-// experiments submit every job up front from option-derived sweeps and
-// only then wait on results, so the grid enumerated here (without
-// running anything) is exactly the grid a real run executes. That makes
-// three operations safe:
+// This file enumerates an experiment's cells and runs or renders a
+// chosen subset of them. A cell is one job of one of the experiment's
+// grids (sweep.go). Every experiment builds all of its grids before it
+// reads any, and a grid submits its jobs in row-major order, so the
+// cells a run submits, in order and with their labels, are a pure
+// function of the result-shaping Options and never of a simulation
+// result. Two guarantees rest on that invariant:
 //
-//   - Cells enumerates the grid so a coordinator can shard it;
-//   - ExecuteSelected runs an arbitrary subset on a worker, recording
-//     results in the checkpoint cell format;
-//   - RenderFromCheckpoint replays the experiment's full output from
-//     recorded cells without executing a single simulation, which is
-//     how sharded results reassemble into output byte-identical to a
-//     serial `zerodev run`.
+//   - Cells enumerates, without running anything, exactly the cells a
+//     real run submits, so `run -resume` verifies a checkpoint against
+//     this build's grid (CheckpointState.VerifyGrid) and refuses one
+//     that holds cells the build no longer submits;
+//   - a cell's identity (scope, submission number, unit label) is the
+//     same in every run at any -workers, so a resumed run finds each
+//     recorded cell under the key the interrupted run stored it with.
 //
-// Deterministic cell identity (scope, seq, unit) plus deterministic
-// cell content (every cell value is a pure function of Options and the
-// unit) means results computed by any process are interchangeable.
+// ExecuteSelected runs a subset of the cells into a checkpoint, and
+// RenderFromCheckpoint renders the full output from recorded cells
+// without simulating; internal/serve builds on both.
 
 // CellID identifies one schedulable cell of an experiment: the
 // experiment (Scope), the pool submission number (Seq — deterministic,
@@ -74,18 +73,8 @@ func (e Experiment) Cells(o Options) ([]CellID, error) {
 // not render tables. The returned error reflects only the selected
 // cells (panics recovered, cancellation propagated).
 func (e Experiment) ExecuteSelected(ctx context.Context, o Options, sel func(CellID) bool, cs *CheckpointState) error {
-	p := NewPool(ctx, o.Workers, o.Progress, e.ID)
-	p.EnableRecovery(ReplayMeta{
-		Experiment: e.ID,
-		Scale:      o.Scale,
-		Accesses:   o.Accesses,
-		Seed:       o.Seed,
-		Quick:      o.Quick,
-		Workers:    o.Workers,
-		Backends:   o.Backends,
-	}, o.CrashDir, o.Retries)
-	p.EnableWatchdog(o.JobTimeout)
-	p.EnableCheckpoint(cs, e.ID)
+	o.Checkpoint = cs
+	p := NewRunPool(ctx, o, e.ID)
 	p.EnableGate(func(seq int, unit string) (bool, error) {
 		return sel(CellID{Scope: e.ID, Seq: seq, Unit: unit}), nil
 	})

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -47,10 +46,9 @@ func fig17(o Options, w io.Writer) error {
 		Headers: []string{"suite", "SpillAll", "FPSS", "FuseAll"},
 	}
 	var errs []error
-	for _, suite := range allSuites {
-		r := sweepGroup(o, suite, pre.Baseline(1, llc.NonInclusive), pre.Cores, cfgs)
+	for si, r := range sweepGroups(o, allSuites, pre.Baseline(1, llc.NonInclusive), cfgs) {
 		errs = append(errs, r.failed())
-		row := []string{suite}
+		row := []string{allSuites[si]}
 		for ci := range cfgs {
 			if err := r.err(ci); err != nil {
 				row = append(row, CellText(err))
@@ -80,10 +78,9 @@ func fig18(o Options, w io.Writer) error {
 		Headers: []string{"suite", "sp8MB", "data8MB", "Base4MB", "sp4MB", "data4MB"},
 	}
 	var errs []error
-	for _, suite := range allSuites {
-		r := sweepGroup(o, suite, pre8.Baseline(1, llc.NonInclusive), pre8.Cores, cfgs)
+	for si, r := range sweepGroups(o, allSuites, pre8.Baseline(1, llc.NonInclusive), cfgs) {
 		errs = append(errs, r.failed())
-		row := []string{suite}
+		row := []string{allSuites[si]}
 		for ci := range cfgs {
 			row = append(row, r.geoCell(ci))
 		}
@@ -107,39 +104,10 @@ func figPerApp(id string, suites []string) func(Options, io.Writer) error {
 			Title:   id + ": ZeroDEV (FPSS, dataLRU) speedup vs baseline 1x",
 			Headers: []string{"app", "1x", "1/8x", "NoDir"},
 		}
-		var all [3][]float64
-		var cfgErr [3]bool
-		var errs []error
-		for _, suite := range suites {
-			r := sweepGroup(o, suite, pre.Baseline(1, llc.NonInclusive), pre.Cores, cfgs)
-			errs = append(errs, r.failed())
-			for ui, u := range r.units {
-				row := []string{u.name}
-				for ci := range cfgs {
-					if err := r.errs[ci][ui]; err != nil {
-						row = append(row, CellText(err))
-						cfgErr[ci] = true
-					} else {
-						row = append(row, f3(r.speedups[ci][ui]))
-					}
-				}
-				t.AddRow(row...)
-			}
-			for ci := range cfgs {
-				all[ci] = append(all[ci], r.speedups[ci]...)
-			}
-		}
-		gm := []string{"GEOMEAN"}
-		for ci := range cfgs {
-			if cfgErr[ci] {
-				gm = append(gm, "ERR")
-			} else {
-				gm = append(gm, f3(stats.GeoMean(all[ci])))
-			}
-		}
-		t.AddRow(gm...)
+		r := newSweep(o, unitsOf(o, suites), pre.Baseline(1, llc.NonInclusive), cfgs).result()
+		r.addUnitRows(&t)
 		t.Fprint(w)
-		return errors.Join(errs...)
+		return r.failed()
 	}
 }
 
@@ -159,10 +127,9 @@ func fig22(o Options, w io.Writer) error {
 		Headers: []string{"suite", "Base4MB", "ZeroDEV4MB(1/4x)", "Base16MB", "ZeroDEV16MB(NoDir)"},
 	}
 	var errs []error
-	for _, suite := range allSuites {
-		r := sweepGroup(o, suite, pre8.Baseline(1, llc.NonInclusive), pre8.Cores, cfgs)
+	for si, r := range sweepGroups(o, allSuites, pre8.Baseline(1, llc.NonInclusive), cfgs) {
 		errs = append(errs, r.failed())
-		row := []string{suite}
+		row := []string{allSuites[si]}
 		for ci := range cfgs {
 			row = append(row, r.geoCell(ci))
 		}
@@ -183,19 +150,8 @@ func fig23(o Options, w io.Writer) error {
 		Title:   "Fig 23: heterogeneous 8-way mixes; normalized weighted speedup vs baseline 1x",
 		Headers: []string{"mix", "1x", "1/8x", "NoDir"},
 	}
-	r := sweepGroup(o, "CPU-HET", pre.Baseline(1, llc.NonInclusive), pre.Cores, cfgs)
-	for ui, u := range r.units {
-		row := []string{u.name}
-		for ci := range cfgs {
-			if err := r.errs[ci][ui]; err != nil {
-				row = append(row, CellText(err))
-			} else {
-				row = append(row, f3(r.speedups[ci][ui]))
-			}
-		}
-		t.AddRow(row...)
-	}
-	t.AddRow("GEOMEAN", r.geoCell(0), r.geoCell(1), r.geoCell(2))
+	r := sweepGroup(o, "CPU-HET", pre.Baseline(1, llc.NonInclusive), cfgs)
+	r.addUnitRows(&t)
 	t.Fprint(w)
 	return r.failed()
 }
@@ -211,53 +167,15 @@ func fig24(o Options, w io.Writer) error {
 		Title:   "Fig 24: server workloads, 128-core socket, 32 MB LLC; speedup vs baseline 1x",
 		Headers: []string{"app", "1x", "1/8x", "NoDir"},
 	}
-	p := so.runner()
-	profs := suiteApps(so, "SERVER")
-	futs := make([][4]*Future[stats.Run], len(profs))
-	for i, prof := range profs {
-		prof := prof
-		for j, cfg := range []struct {
-			spec  core.SystemSpec
-			label string
-		}{
-			{pre.Baseline(1, llc.NonInclusive), "base"},
-			{zdev(pre, 1, llc.NonInclusive), "1x"},
-			{zdev(pre, 1.0/8, llc.NonInclusive), "1/8x"},
-			{zdev(pre, 0, llc.NonInclusive), "nodir"},
-		} {
-			cfg := cfg
-			futs[i][j] = SubmitJob(p, prof.Name+"/"+cfg.label, func(ctx context.Context) (stats.Run, error) {
-				return runThreads(ctx, so, cfg.spec, prof, cfg.label)
-			})
-		}
+	cfgs := []namedSpec{
+		{"1x", zdev(pre, 1, llc.NonInclusive)},
+		{"1/8x", zdev(pre, 1.0/8, llc.NonInclusive)},
+		{"nodir", zdev(pre, 0, llc.NonInclusive)},
 	}
-	var g1, g8, gn []float64
-	var errs []error
-	for i, prof := range profs {
-		var runs [4]stats.Run
-		var perr error
-		for j := range futs[i] {
-			r, err := futs[i][j].Result()
-			if err != nil && perr == nil {
-				perr = err
-			}
-			runs[j] = r
-		}
-		if perr != nil {
-			errs = append(errs, perr)
-			cell := CellText(perr)
-			t.AddRow(prof.Name, cell, cell, cell)
-			continue
-		}
-		s1 := stats.Speedup(runs[0], runs[1])
-		s8 := stats.Speedup(runs[0], runs[2])
-		sn := stats.Speedup(runs[0], runs[3])
-		t.AddF(prof.Name, s1, s8, sn)
-		g1, g8, gn = append(g1, s1), append(g8, s8), append(gn, sn)
-	}
-	t.AddF("GEOMEAN", stats.GeoMean(g1), stats.GeoMean(g8), stats.GeoMean(gn))
+	r := sweepGroup(so, "SERVER", pre.Baseline(1, llc.NonInclusive), cfgs)
+	r.addUnitRows(&t)
 	t.Fprint(w)
-	return errors.Join(errs...)
+	return r.failed()
 }
 
 // fig25Groups lists the x-axis groups of Figs. 25-27.
@@ -279,29 +197,38 @@ func fig25(o Options, w io.Writer) error {
 		Title:   "Fig 25: EPD and inclusive LLCs; speedup vs baseline non-inclusive 1x",
 		Headers: append([]string{"suite"}, specNames(cfgs)...),
 	}
+	const baseIncl, zdevIncl = 6, 7 // the inclusive columns the forced-invalidation line compares
+	forced := func(runs []stats.Run) (n float64) {
+		for _, run := range runs {
+			n += float64(run.Engine.InclusionInvals + run.Engine.DEVs)
+		}
+		return n
+	}
 	var forcedBase, forcedZdev float64
+	var forcedErr error
 	var errs []error
-	for _, g := range fig25Groups {
-		r := sweepGroup(o, g, pre.Baseline(1, llc.NonInclusive), pre.Cores, cfgs)
+	for gi, r := range sweepGroups(o, fig25Groups, pre.Baseline(1, llc.NonInclusive), cfgs) {
 		errs = append(errs, r.failed())
-		row := []string{g}
+		row := []string{fig25Groups[gi]}
 		for ci := range cfgs {
 			row = append(row, r.geoCell(ci))
-			for _, run := range r.runs[ci] {
-				switch cfgs[ci].name {
-				case "BaseIncl-1x":
-					forcedBase += float64(run.Engine.InclusionInvals + run.Engine.DEVs)
-				case "ZDevIncl-NoDir":
-					forcedZdev += float64(run.Engine.InclusionInvals + run.Engine.DEVs)
-				}
-			}
 		}
 		t.AddRow(row...)
+		forcedBase += forced(r.runs[baseIncl])
+		forcedZdev += forced(r.runs[zdevIncl])
+		for _, ci := range []int{baseIncl, zdevIncl} {
+			if forcedErr == nil {
+				forcedErr = r.err(ci)
+			}
+		}
 	}
 	t.Fprint(w)
-	if forcedBase > 0 {
-		fmt.Fprintf(w, "Forced invalidations eliminated by ZeroDEVIncl vs BaseIncl: %.1f%% (paper: 95%%)\n\n",
-			100*(1-forcedZdev/forcedBase))
+	const forcedLine = "Forced invalidations eliminated by ZeroDEVIncl vs BaseIncl: %s (paper: 95%%)\n\n"
+	switch {
+	case forcedErr != nil:
+		fmt.Fprintf(w, forcedLine, CellText(forcedErr))
+	case forcedBase > 0:
+		fmt.Fprintf(w, forcedLine, fmt.Sprintf("%.1f%%", 100*(1-forcedZdev/forcedBase)))
 	}
 	return errors.Join(errs...)
 }
@@ -321,10 +248,9 @@ func fig26(o Options, w io.Writer) error {
 		Headers: append([]string{"suite"}, specNames(cfgs)...),
 	}
 	var errs []error
-	for _, g := range fig25Groups {
-		r := sweepGroup(o, g, pre.Baseline(1, llc.NonInclusive), pre.Cores, cfgs)
+	for gi, r := range sweepGroups(o, fig25Groups, pre.Baseline(1, llc.NonInclusive), cfgs) {
 		errs = append(errs, r.failed())
-		row := []string{g}
+		row := []string{fig25Groups[gi]}
 		for ci := range cfgs {
 			row = append(row, r.geoCell(ci))
 		}
@@ -349,10 +275,9 @@ func fig27(o Options, w io.Writer) error {
 		Headers: append([]string{"suite"}, specNames(cfgs)...),
 	}
 	var errs []error
-	for _, g := range fig25Groups {
-		r := sweepGroup(o, g, pre.Baseline(1, llc.NonInclusive), pre.Cores, cfgs)
+	for gi, r := range sweepGroups(o, fig25Groups, pre.Baseline(1, llc.NonInclusive), cfgs) {
 		errs = append(errs, r.failed())
-		row := []string{g}
+		row := []string{fig25Groups[gi]}
 		for ci := range cfgs {
 			if err := r.err(ci); err != nil {
 				row = append(row, CellText(err))
@@ -374,39 +299,28 @@ func claims(o Options, w io.Writer) error {
 		Title:   "Sec III-D3 claims under ZeroDEV(NoDir): DE share of DRAM writes (<0.5%), corrupted LLC read misses (<0.05%)",
 		Headers: []string{"suite", "DE writes %", "corrupted read misses %", "WB_DE", "GET_DE"},
 	}
-	p := o.runner()
-	futs := make([][]*Future[stats.Run], len(allSuites))
+	nodir := []namedSpec{{"nodir", zdev(pre, 0, llc.NonInclusive)}}
+	grids := make([]grid[stats.Run], len(allSuites))
 	for si, suite := range allSuites {
-		for _, u := range groupUnits(o, suite) {
-			u := u
-			futs[si] = append(futs[si], SubmitJob(p, u.name+"/nodir", func(ctx context.Context) (stats.Run, error) {
-				return runStreams(ctx, zdev(pre, 0, llc.NonInclusive), u.make(pre.Cores), "nodir")
-			}))
-		}
+		grids[si] = unitGrid(o, groupUnits(o, suite), nodir)
 	}
 	var errs []error
 	for si, suite := range allSuites {
+		rows, err := grids[si].all()
+		if err != nil {
+			errs = append(errs, err)
+			cell := CellText(err)
+			t.AddRow(suite, cell, cell, "", "")
+			continue
+		}
 		var wbde, getde, dw, crm, reads uint64
-		var serr error
-		for _, fut := range futs[si] {
-			x, err := fut.Result()
-			if err != nil {
-				if serr == nil {
-					serr = err
-				}
-				continue
-			}
+		for _, runs := range rows {
+			x := runs[0]
 			wbde += x.Engine.DEEvictionsToMemory
 			getde += x.Engine.GetDEFlows
 			dw += x.DRAM.Writes
 			crm += x.Engine.CorruptedReadMisses
 			reads += x.Engine.Reads
-		}
-		if serr != nil {
-			errs = append(errs, serr)
-			cell := CellText(serr)
-			t.AddRow(suite, cell, cell, "", "")
-			continue
 		}
 		dePct, crmPct := 0.0, 0.0
 		if dw > 0 {

@@ -11,7 +11,6 @@ import (
 	"io"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/backend"
@@ -36,10 +35,12 @@ type Options struct {
 	// Quick trims application lists to a representative subset per
 	// suite; used by the benchmark targets.
 	Quick bool
-	// Workers bounds how many simulations run concurrently. Values <= 1
-	// run every simulation inline on the calling goroutine (the exact
-	// serial path); any value produces byte-identical experiment output
-	// because results are assembled in submission order.
+	// Workers bounds how many simulations run concurrently on the pool
+	// Execute installs. Values <= 1, and an experiment's Run called
+	// without Execute, run every simulation inline on the calling
+	// goroutine (the exact serial path); any value produces
+	// byte-identical experiment output because results are assembled in
+	// submission order.
 	Workers int
 	// Progress, when non-nil, receives rate-limited "done/total jobs"
 	// lines while an experiment runs (the CLI points it at stderr).
@@ -48,9 +49,6 @@ type Options struct {
 	// CrashDir is where replay bundles for panicking jobs are written
 	// ("" disables bundles; panics are still recovered into errors).
 	CrashDir string
-	// Retries is how many extra times a panicking job is re-run before
-	// its failure is recorded. Returned errors are never retried.
-	Retries int
 
 	// Backends selects the protocol backends the backend-axis
 	// experiments (figbackends) sweep, as a comma-separated list of
@@ -67,8 +65,9 @@ type Options struct {
 	// interrupted run can resume without re-running finished work.
 	Checkpoint *CheckpointState
 
-	// pool is the experiment-wide worker pool installed by Execute;
-	// experiments reach it through runner().
+	// pool is the run's worker pool, installed by Execute,
+	// ExecuteSelected, RenderFromCheckpoint and Cells; every grid submits
+	// on it. Nil runs each job inline as it is submitted.
 	pool *Pool
 }
 
@@ -84,9 +83,6 @@ func (o Options) Validate() error {
 	}
 	if o.Workers < 1 {
 		return fmt.Errorf("-workers must be at least 1, got %d", o.Workers)
-	}
-	if o.Retries < 0 {
-		return fmt.Errorf("-retries must be non-negative, got %d", o.Retries)
 	}
 	if o.JobTimeout < 0 {
 		return fmt.Errorf("-job-timeout must be non-negative, got %v", o.JobTimeout)
@@ -136,11 +132,13 @@ func register(id, title string, run func(o Options, w io.Writer) error) {
 	registry = append(registry, Experiment{ID: id, Title: title, Run: run})
 }
 
-// List returns all experiments in paper order.
+// List returns all experiments in registration order. Each file
+// registers its experiments in its init, and init runs in file-name
+// order, so the list opens with fig12 and the ablations (ablation.go)
+// and closes with figbackends and figscale.
 func List() []Experiment {
 	out := make([]Experiment, len(registry))
 	copy(out, registry)
-	sort.SliceStable(out, func(i, j int) bool { return false }) // keep registration order
 	return out
 }
 
@@ -193,17 +191,6 @@ func runSockets(ctx context.Context, p socket.Params, spec core.SystemSpec, stre
 	return stats.CollectSockets(label, sys, cycles), nil
 }
 
-// runThreads runs a multithreaded workload (threads share the process
-// address space).
-func runThreads(ctx context.Context, o Options, spec core.SystemSpec, prof workload.Profile, label string) (stats.Run, error) {
-	return runStreams(ctx, spec, workload.Threads(prof, spec.Cores, o.Accesses, o.Scale, o.Seed), label)
-}
-
-// runRate runs a homogeneous multiprogrammed (rate) workload.
-func runRate(ctx context.Context, o Options, spec core.SystemSpec, prof workload.Profile, label string) (stats.Run, error) {
-	return runStreams(ctx, spec, workload.Rate(prof, spec.Cores, o.Accesses, o.Scale, o.Seed), label)
-}
-
 // suiteApps returns the applications evaluated for a suite, trimmed in
 // quick mode.
 func suiteApps(o Options, suite string) []workload.Profile {
@@ -236,11 +223,3 @@ var allSuites = []string{"PARSEC", "SPLASH2X", "SPECOMP", "FFTW", "CPU2017"}
 
 // isMT reports whether a suite runs in multithreaded mode.
 func isMT(suite string) bool { return suite != "CPU2017" && suite != "CPU2017HET" }
-
-// runSuiteApp dispatches threads vs rate mode by suite.
-func runSuiteApp(ctx context.Context, o Options, spec core.SystemSpec, prof workload.Profile, label string) (stats.Run, error) {
-	if isMT(prof.Suite) {
-		return runThreads(ctx, o, spec, prof, label)
-	}
-	return runRate(ctx, o, spec, prof, label)
-}

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/llc"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // Figures 2-6: the motivation studies quantifying DEV cost and the
@@ -23,37 +21,13 @@ func init() {
 	register("fig6", "Fig 6: performance with reduced LLC associativity", fig6)
 }
 
-// baseUnbPair submits the 1x-baseline and unbounded-directory runs of
-// one profile as two pool jobs.
-type baseUnbPair struct {
-	base, unb *Future[stats.Run]
-}
-
-func submitBaseUnb(o Options, p *Pool, pre config.Preset, profs []workload.Profile) []baseUnbPair {
-	pairs := make([]baseUnbPair, len(profs))
-	for i, prof := range profs {
-		prof := prof
-		pairs[i].base = SubmitJob(p, prof.Name+"/base1x", func(ctx context.Context) (stats.Run, error) {
-			return runSuiteApp(ctx, o, pre.Baseline(1, llc.NonInclusive), prof, "base1x")
-		})
-		pairs[i].unb = SubmitJob(p, prof.Name+"/unbounded", func(ctx context.Context) (stats.Run, error) {
-			return runSuiteApp(ctx, o, pre.Unbounded(llc.NonInclusive), prof, "unbounded")
-		})
+// baseUnbSpecs are the two columns of Figs. 2 and 3: the 1x baseline
+// and the unbounded directory.
+func baseUnbSpecs(pre config.Preset) []namedSpec {
+	return []namedSpec{
+		{"base1x", pre.Baseline(1, llc.NonInclusive)},
+		{"unbounded", pre.Unbounded(llc.NonInclusive)},
 	}
-	return pairs
-}
-
-// wait resolves the pair, joining the two jobs' failures.
-func (p baseUnbPair) wait() (base, unb stats.Run, err error) {
-	base, berr := p.base.Result()
-	unb, uerr := p.unb.Result()
-	if berr == nil {
-		return base, unb, uerr
-	}
-	if uerr == nil {
-		return base, unb, berr
-	}
-	return base, unb, errors.Join(berr, uerr)
 }
 
 func fig2(o Options, w io.Writer) error {
@@ -62,76 +36,75 @@ func fig2(o Options, w io.Writer) error {
 		Title:   "Fig 2: normalized traffic / core cache misses / weighted speedup (unbounded vs 1x), 8-way rate",
 		Headers: []string{"app", "traffic", "misses", "speedup", "savedMPKI"},
 	}
+	units := groupUnits(o, "CPU2017")
+	g := unitGrid(o, units, baseUnbSpecs(pre))
 	var traf, miss, spd []float64
 	var errs []error
-	profs := suiteApps(o, "CPU2017")
-	pairs := submitBaseUnb(o, o.runner(), pre, profs)
-	for i, prof := range profs {
-		base, unb, err := pairs[i].wait()
+	for i, u := range units {
+		runs, err := g.row(i)
 		if err != nil {
 			errs = append(errs, err)
 			cell := CellText(err)
-			t.AddRow(prof.Name, cell, cell, cell, "")
+			t.AddRow(u.name, cell, cell, cell, "")
 			continue
 		}
+		base, unb := runs[0], runs[1]
 		tr, ms := stats.NormTraffic(base, unb), stats.NormMisses(base, unb)
 		sp := stats.WeightedSpeedup(base, unb)
-		t.AddRow(prof.Name, f3(tr), f3(ms), f3(sp), fmt.Sprintf("%.1f", base.MPKI()-unb.MPKI()))
+		t.AddRow(u.name, f3(tr), f3(ms), f3(sp), fmt.Sprintf("%.1f", base.MPKI()-unb.MPKI()))
 		traf = append(traf, tr)
 		miss = append(miss, ms)
 		spd = append(spd, sp)
 	}
-	t.AddRow("AVG", f3(stats.Mean(traf)), f3(stats.Mean(miss)), f3(stats.GeoMean(spd)), "")
+	if len(errs) > 0 {
+		cell := CellText(errs[0])
+		t.AddRow("AVG", cell, cell, cell, "")
+	} else {
+		t.AddRow("AVG", f3(stats.Mean(traf)), f3(stats.Mean(miss)), f3(stats.GeoMean(spd)), "")
+	}
 	t.Fprint(w)
 	return errors.Join(errs...)
 }
 
 func fig3(o Options, w io.Writer) error {
 	pre := config.TableI(o.Scale)
-	p := o.runner()
 	t := stats.Table{
 		Title:   "Fig 3: normalized traffic / core cache misses / speedup (unbounded vs 1x), multithreaded",
 		Headers: []string{"app/suite", "traffic", "misses", "speedup", "savedMPKI"},
 	}
-	appProfs := suiteApps(o, "PARSEC")
-	appPairs := submitBaseUnb(o, p, pre, appProfs)
-	avgSuites := []string{"PARSEC", "SPLASH2X", "SPECOMP", "FFTW"}
-	avgPairs := make([][]baseUnbPair, len(avgSuites))
-	for si, suite := range avgSuites {
-		avgPairs[si] = submitBaseUnb(o, p, pre, suiteApps(o, suite))
+	specs := baseUnbSpecs(pre)
+	apps := groupUnits(o, "PARSEC")
+	appGrid := unitGrid(o, apps, specs)
+	suiteGrids := make([]grid[stats.Run], len(mtSuites))
+	for si, suite := range mtSuites {
+		suiteGrids[si] = unitGrid(o, groupUnits(o, suite), specs)
 	}
 	var errs []error
-	for i, prof := range appProfs {
-		base, unb, err := appPairs[i].wait()
+	for i, u := range apps {
+		runs, err := appGrid.row(i)
 		if err != nil {
 			errs = append(errs, err)
 			cell := CellText(err)
-			t.AddRow(prof.Name, cell, cell, cell, "")
+			t.AddRow(u.name, cell, cell, cell, "")
 			continue
 		}
-		t.AddRow(prof.Name, f3(stats.NormTraffic(base, unb)), f3(stats.NormMisses(base, unb)),
+		base, unb := runs[0], runs[1]
+		t.AddRow(u.name, f3(stats.NormTraffic(base, unb)), f3(stats.NormMisses(base, unb)),
 			f3(stats.Speedup(base, unb)), fmt.Sprintf("%.1f", base.MPKI()-unb.MPKI()))
 	}
-	for si, suite := range avgSuites {
-		var traf, miss, spd []float64
-		var serr error
-		for _, pair := range avgPairs[si] {
-			base, unb, err := pair.wait()
-			if err != nil {
-				if serr == nil {
-					serr = err
-				}
-				continue
-			}
-			traf = append(traf, stats.NormTraffic(base, unb))
-			miss = append(miss, stats.NormMisses(base, unb))
-			spd = append(spd, stats.Speedup(base, unb))
-		}
-		if serr != nil {
-			errs = append(errs, serr)
-			cell := CellText(serr)
+	for si, suite := range mtSuites {
+		rows, err := suiteGrids[si].all()
+		if err != nil {
+			errs = append(errs, err)
+			cell := CellText(err)
 			t.AddRow(suite+"-AVG", cell, cell, cell, "")
 			continue
+		}
+		var traf, miss, spd []float64
+		for _, runs := range rows {
+			traf = append(traf, stats.NormTraffic(runs[0], runs[1]))
+			miss = append(miss, stats.NormMisses(runs[0], runs[1]))
+			spd = append(spd, stats.Speedup(runs[0], runs[1]))
 		}
 		t.AddRow(suite+"-AVG", f3(stats.Mean(traf)), f3(stats.Mean(miss)), f3(stats.GeoMean(spd)), "")
 	}
@@ -151,10 +124,9 @@ func fig4(o Options, w io.Writer) error {
 		Headers: []string{"suite", "1/2x", "1/8x", "1/32x"},
 	}
 	var errs []error
-	for _, suite := range allSuites {
-		r := sweepGroup(o, suite, pre.Baseline(1, llc.NonInclusive), pre.Cores, cfgs)
+	for si, r := range sweepGroups(o, allSuites, pre.Baseline(1, llc.NonInclusive), cfgs) {
 		errs = append(errs, r.failed())
-		row := []string{suite}
+		row := []string{allSuites[si]}
 		for ci := range cfgs {
 			row = append(row, r.geoCell(ci))
 		}
@@ -171,45 +143,30 @@ func fig5(o Options, w io.Writer) error {
 		Title:   "Fig 5: peak directory entries overflowing the 1x organization, as % of LLC blocks (one spilled entry = one LLC block)",
 		Headers: []string{"suite", "max-of-max", "avg-of-max", "max app"},
 	}
-	p := o.runner()
-	type suiteJobs struct {
-		profs []workload.Profile
-		futs  []*Future[stats.Run]
-	}
-	jobs := make([]suiteJobs, len(allSuites))
+	unb := []namedSpec{{"unbounded", pre.Unbounded(llc.NonInclusive)}}
+	units := make([][]unit, len(allSuites))
+	grids := make([]grid[stats.Run], len(allSuites))
 	for si, suite := range allSuites {
-		jobs[si].profs = suiteApps(o, suite)
-		for _, prof := range jobs[si].profs {
-			prof := prof
-			jobs[si].futs = append(jobs[si].futs, SubmitJob(p, prof.Name+"/unbounded", func(ctx context.Context) (stats.Run, error) {
-				return runSuiteApp(ctx, o, pre.Unbounded(llc.NonInclusive), prof, "unbounded")
-			}))
-		}
+		units[si] = groupUnits(o, suite)
+		grids[si] = unitGrid(o, units[si], unb)
 	}
 	var errs []error
 	for si, suite := range allSuites {
-		var occ []float64
-		maxApp, maxV := "", 0.0
-		var serr error
-		for pi, prof := range jobs[si].profs {
-			unb, err := jobs[si].futs[pi].Result()
-			if err != nil {
-				if serr == nil {
-					serr = err
-				}
-				continue
-			}
-			pct := 100 * float64(unb.DirPeakOverflow) / float64(llcBlocks)
-			occ = append(occ, pct)
-			if pct >= maxV {
-				maxV, maxApp = pct, prof.Name
-			}
-		}
-		if serr != nil {
-			errs = append(errs, serr)
-			cell := CellText(serr)
+		rows, err := grids[si].all()
+		if err != nil {
+			errs = append(errs, err)
+			cell := CellText(err)
 			t.AddRow(suite, cell, cell, "")
 			continue
+		}
+		var occ []float64
+		maxApp, maxV := "", 0.0
+		for ui, runs := range rows {
+			pct := 100 * float64(runs[0].DirPeakOverflow) / float64(llcBlocks)
+			occ = append(occ, pct)
+			if pct >= maxV {
+				maxV, maxApp = pct, units[si][ui].name
+			}
 		}
 		t.AddRow(suite, fmt.Sprintf("%.1f%%", stats.Max(occ)), fmt.Sprintf("%.1f%%", stats.Mean(occ)), maxApp)
 	}
@@ -232,10 +189,9 @@ func fig6(o Options, w io.Writer) error {
 		Headers: []string{"suite", "15 ways", "14 ways", "13 ways", "12 ways", "worst@12"},
 	}
 	var errs []error
-	for _, suite := range allSuites {
-		r := sweepGroup(o, suite, pre.Baseline(1, llc.NonInclusive), pre.Cores, cfgs)
+	for si, r := range sweepGroups(o, allSuites, pre.Baseline(1, llc.NonInclusive), cfgs) {
 		errs = append(errs, r.failed())
-		row := []string{suite}
+		row := []string{allSuites[si]}
 		for ci := range cfgs {
 			row = append(row, r.geoCell(ci))
 		}

@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,9 +33,10 @@ import (
 // The engine is also crash-safe and interruptible:
 //
 //   - a job that panics (the protocol stack panics on corruption) is
-//     recovered into a typed *JobError carrying a replay bundle, retried
-//     up to the pool's retry budget, and surfaced through Future.Result
-//     so the experiment renders the cell as ERR;
+//     recovered into a typed *JobError carrying a replay bundle and
+//     surfaced through Future.Result so the experiment renders the cell
+//     as ERR. A job is a pure function of its spec and options, so it
+//     would panic at the same step again: nothing is retried;
 //   - every job runs under a context derived from the pool's: when the
 //     pool's context is cancelled (SIGINT/SIGTERM via the CLI), queued
 //     jobs resolve immediately and running simulations abort within
@@ -60,7 +60,6 @@ type Pool struct {
 	label    string
 	progress io.Writer
 
-	retries    int
 	crashDir   string
 	meta       ReplayMeta
 	jobTimeout time.Duration
@@ -103,18 +102,12 @@ func NewPool(ctx context.Context, workers int, progress io.Writer, label string)
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
 
-// EnableRecovery arms panic recovery: recovered jobs write a replay
-// bundle into crashDir (when non-empty) stamped with meta, and each
-// panicking job is re-run up to retries extra times before its error is
-// recorded. Without EnableRecovery panics are still converted to
-// *JobError, but no bundle is written and nothing is retried.
-func (p *Pool) EnableRecovery(meta ReplayMeta, crashDir string, retries int) {
-	if retries < 0 {
-		retries = 0
-	}
+// EnableRecovery arms replay bundles: a recovered panic writes one into
+// crashDir (when non-empty) stamped with meta. Without EnableRecovery
+// panics are still converted to *JobError, but no bundle is written.
+func (p *Pool) EnableRecovery(meta ReplayMeta, crashDir string) {
 	p.meta = meta
 	p.crashDir = crashDir
-	p.retries = retries
 }
 
 // EnableWatchdog arms the per-job watchdog: a job still running after d
@@ -135,10 +128,10 @@ func (p *Pool) EnableCheckpoint(cs *CheckpointState, scope string) {
 
 // EnableEnumerate puts the pool in enumeration mode: submitted jobs are
 // reported to fn in submission order and resolve immediately with zero
-// values, without executing anything. This is how the campaign service
-// discovers an experiment's cell grid — the set of (seq, unit) jobs is a
-// pure function of the Options, never of simulation results, so the
-// grid a coordinator enumerates is exactly the grid a worker executes.
+// values, without executing anything. This is how Cells discovers an
+// experiment's cell grid — the set of (seq, unit) jobs is a pure
+// function of the Options, never of simulation results, so the grid
+// enumerated is exactly the grid a run executes.
 func (p *Pool) EnableEnumerate(fn func(seq int, unit string)) { p.enum = fn }
 
 // EnableGate installs a per-job admission decision, consulted after the
@@ -184,12 +177,8 @@ type JobError struct {
 	Panic      string // recovered panic value, "" for returned errors
 	Err        error  // the returned error, nil for panics
 	Timeout    bool   // reaped by the watchdog
-	Attempts   int    // executions performed (1 + retries used)
-	ReplayPath string // bundle path of the final attempt, "" when no bundle was written
-	// PriorBundles are the replay-bundle paths of earlier attempts that
-	// also panicked, oldest first, so operators can diff the first crash
-	// against the retry's.
-	PriorBundles []string
+	Attempts   int    // executions performed: always 1, since nothing is retried
+	ReplayPath string // bundle path, "" when no bundle was written
 }
 
 // Error implements error.
@@ -203,11 +192,7 @@ func (e *JobError) Error() string {
 		name = fmt.Sprintf("job %d", e.Seq)
 	}
 	msg := fmt.Sprintf("job %q failed after %d attempt(s): %s", name, e.Attempts, what)
-	switch {
-	case e.ReplayPath != "" && len(e.PriorBundles) > 0:
-		msg += fmt.Sprintf(" (replay bundles, attempts in order: %s, then %s)",
-			strings.Join(e.PriorBundles, ", "), e.ReplayPath)
-	case e.ReplayPath != "":
+	if e.ReplayPath != "" {
 		msg += " (replay bundle: " + e.ReplayPath + ")"
 	}
 	return msg
@@ -351,7 +336,7 @@ func SubmitJob[T any](p *Pool, label string, fn func(ctx context.Context) (T, er
 }
 
 // execute runs one job end to end: checkpoint lookup, cancellation
-// check, watchdog supervision, recovery/retries, and the recording of
+// check, watchdog supervision, panic recovery, and the recording of
 // the final result (into the pool's failure list or the checkpoint).
 func execute[T any](p *Pool, label string, seq int, fn func(ctx context.Context) (T, error)) (T, error) {
 	var zero T
@@ -483,56 +468,28 @@ func (p *Pool) note(format string, args ...any) {
 	p.mu.Unlock()
 }
 
-// runRecovered executes fn with panic recovery and the pool's retry
-// budget. Only panics are retried: a returned error is deterministic
-// (the same inputs fail the same way), so re-running it wastes time.
-func runRecovered[T any](p *Pool, ctx context.Context, label string, seq int, fn func(ctx context.Context) (T, error)) (T, error) {
-	retries := 0
-	if p != nil {
-		retries = p.retries
-	}
-	var val T
-	var err error
-	var prior []string // bundle paths of earlier panicking attempts
-	for attempt := 0; ; attempt++ {
-		var je *JobError
-		val, err, je = runOnce(p, ctx, label, seq, attempt, fn)
-		if je == nil {
-			if err != nil {
-				we := &JobError{Unit: label, Seq: seq, Err: err, Attempts: attempt + 1}
-				if p != nil {
-					we.Meta = p.meta
-				}
-				err = we
-			}
-			return val, err
-		}
-		err = je
-		if attempt >= retries || ctx.Err() != nil {
-			je.PriorBundles = prior
-			return val, err
-		}
-		if je.ReplayPath != "" {
-			prior = append(prior, je.ReplayPath)
-		}
-	}
-}
-
-// runOnce runs fn once; a panic is recovered into je with its replay
-// bundle written immediately (so even the attempts that will be
-// retried leave an artifact while the state is fresh).
-func runOnce[T any](p *Pool, ctx context.Context, label string, seq, attempt int, fn func(ctx context.Context) (T, error)) (val T, err error, je *JobError) {
+// runRecovered executes fn once, wrapping a returned error in a
+// *JobError and recovering a panic into one whose replay bundle is
+// written while the state is fresh.
+func runRecovered[T any](p *Pool, ctx context.Context, label string, seq int, fn func(ctx context.Context) (T, error)) (val T, err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			je = &JobError{Unit: label, Seq: seq, Panic: fmt.Sprint(r), Attempts: attempt + 1}
-			if p != nil {
-				je.Meta = p.meta
+		r := recover()
+		if r == nil && err == nil {
+			return
+		}
+		je := &JobError{Unit: label, Seq: seq, Err: err, Attempts: 1}
+		if r != nil {
+			je.Panic = fmt.Sprint(r)
+		}
+		if p != nil {
+			je.Meta = p.meta
+			if r != nil {
 				je.ReplayPath = p.writeBundle(je, debug.Stack())
 			}
 		}
+		err = je
 	}()
-	val, err = fn(ctx)
-	return
+	return fn(ctx)
 }
 
 // BundleVersion stamps crash and watchdog bundles; bump on incompatible
@@ -748,16 +705,27 @@ func (p *Pool) timing() stats.RunTiming {
 	}
 }
 
-// runner returns the experiment-wide pool when Execute installed one,
-// and otherwise a fresh silent pool sized by o.Workers. Experiments call
-// it once per sweep so direct e.Run calls still parallelize.
-func (o Options) runner() *Pool {
-	if o.pool != nil {
-		return o.pool
-	}
-	p := NewPool(nil, o.Workers, nil, "")
-	p.EnableRecovery(ReplayMeta{Scale: o.Scale, Accesses: o.Accesses, Seed: o.Seed, Quick: o.Quick, Workers: o.Workers, Backends: o.Backends}, o.CrashDir, o.Retries)
+// NewRunPool returns the pool one run of scope (an experiment ID, or
+// "audit") executes on: o.Workers wide, reporting progress to
+// o.Progress, writing replay bundles stamped with scope and the
+// result-shaping options under o.CrashDir, reaping jobs that outlive
+// o.JobTimeout, and recording cells into o.Checkpoint under scope when
+// it is armed.
+func NewRunPool(ctx context.Context, o Options, scope string) *Pool {
+	p := NewPool(ctx, o.Workers, o.Progress, scope)
+	p.EnableRecovery(ReplayMeta{
+		Experiment: scope,
+		Scale:      o.Scale,
+		Accesses:   o.Accesses,
+		Seed:       o.Seed,
+		Quick:      o.Quick,
+		Workers:    o.Workers,
+		Backends:   o.Backends,
+	}, o.CrashDir)
 	p.EnableWatchdog(o.JobTimeout)
+	if o.Checkpoint != nil {
+		p.EnableCheckpoint(o.Checkpoint, scope)
+	}
 	return p
 }
 
@@ -771,20 +739,7 @@ func (o Options) runner() *Pool {
 // under the experiment's ID and already-recorded cells are served
 // without re-running.
 func (e Experiment) Execute(ctx context.Context, o Options, w io.Writer) (stats.RunTiming, error) {
-	p := NewPool(ctx, o.Workers, o.Progress, e.ID)
-	p.EnableRecovery(ReplayMeta{
-		Experiment: e.ID,
-		Scale:      o.Scale,
-		Accesses:   o.Accesses,
-		Seed:       o.Seed,
-		Quick:      o.Quick,
-		Workers:    o.Workers,
-		Backends:   o.Backends,
-	}, o.CrashDir, o.Retries)
-	p.EnableWatchdog(o.JobTimeout)
-	if o.Checkpoint != nil {
-		p.EnableCheckpoint(o.Checkpoint, e.ID)
-	}
+	p := NewRunPool(ctx, o, e.ID)
 	o.pool = p
 	start := time.Now()
 	err := e.Run(o, w)

@@ -101,8 +101,9 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	serial, parallel := o, o
 	serial.Workers = 1
 	parallel.Workers = 4
-	rs := sweepGroup(serial, "FFTW", pre.Baseline(1, llc.NonInclusive), pre.Cores, cfgs)
-	rp := sweepGroup(parallel, "FFTW", pre.Baseline(1, llc.NonInclusive), pre.Cores, cfgs)
+	parallel.pool = NewPool(nil, parallel.Workers, nil, "sweep")
+	rs := sweepGroup(serial, "FFTW", pre.Baseline(1, llc.NonInclusive), cfgs)
+	rp := sweepGroup(parallel, "FFTW", pre.Baseline(1, llc.NonInclusive), cfgs)
 	if !reflect.DeepEqual(rs.speedups, rp.speedups) {
 		t.Fatalf("parallel speedups %v differ from serial %v", rp.speedups, rs.speedups)
 	}
@@ -114,7 +115,8 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 // TestPoolRecoversPanics pins the crash-resilience core: a panicking
 // job resolves its own future to a typed *JobError, siblings are
 // untouched, failures come back in submission order, and the pool's
-// summary reports the run as failed.
+// summary reports the run as failed. A job returning an error runs
+// exactly once and is recorded like a panic.
 func TestPoolRecoversPanics(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := NewPool(nil, workers, nil, "crash")
@@ -146,41 +148,19 @@ func TestPoolRecoversPanics(t *testing.T) {
 		if tm := p.timing(); tm.Failed != 1 {
 			t.Fatalf("workers=%d: timing.Failed = %d", workers, tm.Failed)
 		}
-	}
-}
 
-// TestPoolRetriesPanicsOnly checks the retry budget's asymmetry: a
-// transiently panicking job is re-run until it succeeds, while a job
-// returning an error — deterministic by construction — runs exactly
-// once.
-func TestPoolRetriesPanicsOnly(t *testing.T) {
-	p := NewPool(nil, 1, nil, "retry")
-	p.EnableRecovery(ReplayMeta{Experiment: "retry"}, "", 2)
-	attempts := 0
-	f := SubmitJob(p, "flaky", func(context.Context) (int, error) {
-		attempts++
-		if attempts < 3 {
-			panic("transient")
+		var calls atomic.Int32
+		boom := errors.New("deterministic failure")
+		g := SubmitJob(p, "failing", func(context.Context) (int, error) { calls.Add(1); return 0, boom })
+		if _, err := g.Result(); !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: returned error not propagated: %v", workers, err)
 		}
-		return 42, nil
-	})
-	if v, err := f.Result(); v != 42 || err != nil {
-		t.Fatalf("flaky job got (%d, %v) after %d attempts", v, err, attempts)
-	}
-	if attempts != 3 {
-		t.Fatalf("flaky job ran %d times, want 3", attempts)
-	}
-	calls := 0
-	boom := errors.New("deterministic failure")
-	g := SubmitJob(p, "failing", func(context.Context) (int, error) { calls++; return 0, boom })
-	if _, err := g.Result(); !errors.Is(err, boom) {
-		t.Fatalf("returned error not propagated: %v", err)
-	}
-	if calls != 1 {
-		t.Fatalf("erroring job retried %d times; returned errors must not be retried", calls)
-	}
-	if fails := p.Failures(); len(fails) != 1 || fails[0].Unit != "failing" {
-		t.Fatalf("Failures() = %+v (recovered flaky job must not be recorded)", fails)
+		if n := calls.Load(); n != 1 {
+			t.Fatalf("workers=%d: erroring job ran %d times, want 1", workers, n)
+		}
+		if fails := p.Failures(); len(fails) != 2 || fails[1].Unit != "failing" || fails[1].Attempts != 1 {
+			t.Fatalf("workers=%d: Failures() after the erroring job = %+v", workers, fails)
+		}
 	}
 }
 
@@ -192,7 +172,7 @@ func TestPoolReplayBundles(t *testing.T) {
 	dir := t.TempDir()
 	p := NewPool(nil, 1, nil, "bundle")
 	meta := ReplayMeta{Experiment: "fig9/x", Scale: 8, Accesses: 100, Seed: 3, Workers: 2}
-	p.EnableRecovery(meta, dir, 0)
+	p.EnableRecovery(meta, dir)
 	f := SubmitJob(p, "unit/cfg", func(context.Context) (int, error) { panic("kaboom") })
 	_, err := f.Result()
 	var je *JobError
@@ -214,6 +194,12 @@ func TestPoolReplayBundles(t *testing.T) {
 	}
 	if je.Meta != meta {
 		t.Fatalf("JobError.Meta = %+v, want %+v", je.Meta, meta)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "replay bundle: "+want) || je.Attempts != 1 {
+		t.Fatalf("a single panic must name its one bundle after one attempt: %q", msg)
+	}
+	if got, derr := DecodeBundle(bytes.NewReader(raw)); derr != nil || got != meta {
+		t.Fatalf("bundle does not decode back to its meta: %+v, %v", got, derr)
 	}
 
 	q := NewPool(nil, 1, nil, "nobundle")

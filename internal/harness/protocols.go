@@ -14,8 +14,8 @@ import (
 // workloads, measured on the axes the backends actually trade —
 // performance, forced invalidations (DEVs and inclusion victims),
 // NACK/retry latency, DE writeback traffic, and directory occupancy.
-// This file sorts after motivation.go so the experiment registers at
-// the end of the paper-order list.
+// This file sorts after motivation.go, so the experiment registers
+// after the paper's figures.
 
 func init() {
 	register("figbackends", "Backend lab: protocol backends vs sparse-MESI (dir 1/8x, PARSEC)", figBackends)
@@ -46,7 +46,7 @@ func figBackends(o Options, w io.Writer) error {
 		Headers: []string{"backend", "speedup", "DEV/Ka", "inclInv/Ka",
 			"NACK/Ka", "WB_DE/Ka", "trafMB", "dirPeak"},
 	}
-	r := sweepGroup(o, "PARSEC", base, pre.Cores, cfgs)
+	r := sweepGroup(o, "PARSEC", base, cfgs)
 	for ci, c := range cfgs {
 		if err := r.err(ci); err != nil {
 			t.AddRow(c.name, CellText(err), "-", "-", "-", "-", "-", "-")

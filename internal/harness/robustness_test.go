@@ -263,6 +263,79 @@ func TestCancelledRunFlushesValidCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCancelledRunPrintsNoNumber runs every experiment under an
+// already-cancelled context: every cell fails, so every computed cell,
+// including the summary rows (suite rows, AVG, GEOMEAN, OVERALL and the
+// compress budget rows), must render CANCELLED. A summary that folds
+// the survivors into a number, or hard-codes ERR, fails by name.
+func TestCancelledRunPrintsNoNumber(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o := tinyOptions()
+	o.Accesses = 1000
+	o.Workers = 2
+	for _, e := range List() {
+		t.Run(e.ID, func(t *testing.T) {
+			var out bytes.Buffer
+			_, err := e.Execute(ctx, o, &out)
+			if got := ExitCode(err); got != ExitInterrupted {
+				t.Fatalf("ExitCode = %d (err %v), want %d", got, err, ExitInterrupted)
+			}
+			text := out.String()
+			if !strings.Contains(text, "CANCELLED") {
+				t.Fatalf("no CANCELLED cell:\n%s", text)
+			}
+			for _, bad := range []string{"ERR", "NaN", "0.000"} {
+				if strings.Contains(text, bad) {
+					t.Errorf("cancelled run prints %q:\n%s", bad, text)
+				}
+			}
+		})
+	}
+}
+
+// TestPartlyFailedSummaryPrintsNoNumber: when one cell fails and the
+// rest succeed, fig2's AVG and energy's OVERALL row render the failure
+// instead of folding the surviving cells into a number. Every cell but
+// the first is served from a checkpoint under a cancelled context, so
+// exactly the first cell fails.
+func TestPartlyFailedSummaryPrintsNoNumber(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	o := tinyOptions()
+	o.Accesses = 1000
+	o.Workers = 2
+	for _, tc := range []struct{ id, summary string }{{"fig2", "AVG"}, {"energy", "OVERALL"}} {
+		t.Run(tc.id, func(t *testing.T) {
+			e, err := Get(tc.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ro := o
+			ro.Checkpoint = NewCheckpoint(testKey())
+			if _, err := e.Execute(context.Background(), ro, &bytes.Buffer{}); err != nil {
+				t.Fatal(err)
+			}
+			delete(ro.Checkpoint.cells, cellKey(tc.id, 1))
+			var out bytes.Buffer
+			if _, err := e.Execute(cancelled, ro, &out); ExitCode(err) != ExitInterrupted {
+				t.Fatalf("ExitCode(%v) = %d, want %d", err, ExitCode(err), ExitInterrupted)
+			}
+			for _, line := range strings.Split(out.String(), "\n") {
+				if f := strings.Fields(line); len(f) > 0 && f[0] == tc.summary {
+					for _, cell := range f[1:] {
+						if cell != "CANCELLED" {
+							t.Fatalf("%s row folds the surviving cells into a number: %q", tc.summary, line)
+						}
+					}
+					return
+				}
+			}
+			t.Fatalf("no %s row:\n%s", tc.summary, out.String())
+		})
+	}
+}
+
 // TestWatchdogReapsHungJob is the watchdog acceptance test: a job that
 // ignores its context is reaped within -job-timeout, a diagnostic
 // bundle with goroutine stacks is written, the cell classifies as
@@ -274,7 +347,7 @@ func TestWatchdogReapsHungJob(t *testing.T) {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			p := NewPool(context.Background(), workers, NewSyncWriter(&progress), "wd")
-			p.EnableRecovery(ReplayMeta{Experiment: "wd", Seed: 1}, dir, 0)
+			p.EnableRecovery(ReplayMeta{Experiment: "wd", Seed: 1}, dir)
 			p.EnableWatchdog(50 * time.Millisecond)
 			gate := make(chan struct{})
 			defer close(gate)
@@ -600,63 +673,6 @@ func TestVerifyGridRejects(t *testing.T) {
 			t.Fatalf("loaded drifted checkpoint: err = %v", err)
 		}
 	})
-}
-
-// TestRetriedPanicNamesEveryBundle: a job that panics on the first
-// attempt and again on the retry must surface BOTH replay-bundle paths
-// in its JobError text, oldest first, so the operator can diff the
-// attempts; both bundles must exist and decode.
-func TestRetriedPanicNamesEveryBundle(t *testing.T) {
-	dir := t.TempDir()
-	p := NewPool(context.Background(), 1, nil, "twice")
-	p.EnableRecovery(ReplayMeta{Experiment: "twice", Seed: 1}, dir, 1)
-	_, err := SubmitJob(p, "boom/unit", func(context.Context) (int, error) {
-		panic("kaboom")
-	}).Result()
-	if err == nil {
-		t.Fatal("twice-panicking job returned nil error")
-	}
-	var je *JobError
-	if !errors.As(err, &je) {
-		t.Fatalf("error %T is not a JobError", err)
-	}
-	if je.Attempts != 2 {
-		t.Fatalf("Attempts = %d, want 2", je.Attempts)
-	}
-	if len(je.PriorBundles) != 1 || je.ReplayPath == "" {
-		t.Fatalf("bundle paths incomplete: prior=%v final=%q", je.PriorBundles, je.ReplayPath)
-	}
-	if je.PriorBundles[0] == je.ReplayPath {
-		t.Fatal("prior and final bundle paths are the same file")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "attempts in order") ||
-		!strings.Contains(msg, je.PriorBundles[0]) || !strings.Contains(msg, je.ReplayPath) {
-		t.Fatalf("error text does not name both bundles: %q", msg)
-	}
-	// Oldest first: the first attempt's path precedes the final one.
-	if strings.Index(msg, je.PriorBundles[0]) > strings.Index(msg, je.ReplayPath) {
-		t.Fatalf("bundles out of order in %q", msg)
-	}
-	for _, path := range []string{je.PriorBundles[0], je.ReplayPath} {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatalf("bundle missing: %v", err)
-		}
-		meta, derr := DecodeBundle(f)
-		f.Close()
-		if derr != nil || meta.Experiment != "twice" {
-			t.Fatalf("bundle %s does not decode: meta=%+v err=%v", path, meta, derr)
-		}
-	}
-	// A single-attempt panic keeps the old single-bundle phrasing.
-	q := NewPool(context.Background(), 1, nil, "once")
-	q.EnableRecovery(ReplayMeta{Experiment: "once", Seed: 1}, dir, 0)
-	_, err = SubmitJob(q, "boom2", func(context.Context) (int, error) { panic("x") }).Result()
-	if err == nil || !strings.Contains(err.Error(), "replay bundle: ") ||
-		strings.Contains(err.Error(), "attempts in order") {
-		t.Fatalf("single-attempt phrasing regressed: %v", err)
-	}
 }
 
 // TestDecodeBundleRejects covers the replay-bundle codec's refusals.

@@ -62,33 +62,27 @@ func figScale(o Options, w io.Writer) error {
 		Headers: []string{"org", "cores", "speedup", "zdev-DEV/ki", "mesi-DEV/ki",
 			"B/miss", "spill+fuse", "recovery", "coarse", "metaHW", "iIPC"},
 	}
-	p := o.runner()
-	type rung struct {
-		zdev, mesi *Future[stats.Run]
-	}
-	futs := make([]rung, len(ladder))
+	arms := []struct {
+		id    backend.ID
+		ratio float64
+	}{{backend.ZeroDEV, 0}, {backend.SparseMESI, 1.0 / 8}}
+	orgs := make([]string, len(ladder))
 	for i, g := range ladder {
-		g := g
-		futs[i] = rung{
-			zdev: SubmitJob(p, g.Name+"/zdev", func(ctx context.Context) (stats.Run, error) {
-				return runScaleOrg(ctx, o, g, backend.ZeroDEV, 0)
-			}),
-			mesi: SubmitJob(p, g.Name+"/mesi", func(ctx context.Context) (stats.Run, error) {
-				return runScaleOrg(ctx, o, g, backend.SparseMESI, 1.0/8)
-			}),
-		}
+		orgs[i] = g.Name
 	}
+	rungs := newGrid(o, orgs, []string{"zdev", "mesi"}, func(ctx context.Context, r, c int) (stats.Run, error) {
+		return runScaleOrg(ctx, o, ladder[r], arms[c].id, arms[c].ratio)
+	})
 	var errs []error
 	for i, g := range ladder {
-		zd, ez := futs[i].zdev.Result()
-		ms, em := futs[i].mesi.Result()
-		if ez != nil || em != nil {
-			err := errors.Join(ez, em)
+		runs, err := rungs.row(i)
+		if err != nil {
 			errs = append(errs, err)
 			cell := CellText(err)
 			t.AddRow(g.Name, fmt.Sprint(g.TotalCores()), cell, cell, cell, cell, cell, cell, cell, cell, cell)
 			continue
 		}
+		zd, ms := runs[0], runs[1]
 		devKI := func(r stats.Run) float64 {
 			if r.CPU.Retired == 0 {
 				return 0

@@ -14,7 +14,7 @@ func TestSweepGroupShapes(t *testing.T) {
 		{"same", pre.Baseline(1, llc.NonInclusive)},
 		{"small", pre.Baseline(1.0/32, llc.NonInclusive)},
 	}
-	r := sweepGroup(o, "FFTW", pre.Baseline(1, llc.NonInclusive), pre.Cores, cfgs)
+	r := sweepGroup(o, "FFTW", pre.Baseline(1, llc.NonInclusive), cfgs)
 	if len(r.units) == 0 {
 		t.Fatal("no units")
 	}

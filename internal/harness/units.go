@@ -58,6 +58,23 @@ func groupUnits(o Options, group string) []unit {
 	return units
 }
 
+// unitsOf concatenates the units of several groups, in group order.
+func unitsOf(o Options, groups []string) []unit {
+	var units []unit
+	for _, g := range groups {
+		units = append(units, groupUnits(o, g)...)
+	}
+	return units
+}
+
+func unitNames(units []unit) []string {
+	names := make([]string, len(units))
+	for i, u := range units {
+		names[i] = u.name
+	}
+	return names
+}
+
 func hetMixCount(o Options) int {
 	if o.Quick {
 		return 4
