@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/backend"
 	"repro/internal/faults"
@@ -52,7 +51,6 @@ func auditCmd(ctx context.Context, args []string) int {
 	quiet := fs.Bool("quiet", false, "suppress progress and timing lines on stderr")
 	kinds := fs.String("faults", "all", "comma-separated injector kinds (see -list)")
 	auditEvery := fs.Int("audit-every", 1000, "run the invariant auditor every N scheduler steps (0 = only at completion)")
-	failFast := fs.Bool("fail-fast", false, "stop the campaign at the first failing cell")
 	campaigns := fs.String("campaigns", "all", "comma-separated campaign cells (see -list)")
 	fs.StringVar(&o.Backends, "backend", "all", "comma-separated protocol backends to audit (see -list)")
 	rateScale := fs.Float64("rate-scale", 1, "multiply every injector's default rate")
@@ -72,10 +70,6 @@ func auditCmd(ctx context.Context, args []string) int {
 	}
 	defer stopProf()
 	o.Seed = seed
-	stderr := harness.NewSyncWriter(os.Stderr)
-	if !*quiet {
-		o.Progress = stderr
-	}
 	if err := o.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "audit:", err)
 		return 2
@@ -93,7 +87,6 @@ func auditCmd(ctx context.Context, args []string) int {
 	cfg := faults.DefaultConfig()
 	cfg.AuditEvery = *auditEvery
 	cfg.RateScale = *rateScale
-	cfg.FailFast = *failFast
 	if cfg.Enabled, err = faults.ParseKinds(*kinds); err != nil {
 		fmt.Fprintln(os.Stderr, "audit:", err)
 		return 2
@@ -126,49 +119,5 @@ func auditCmd(ctx context.Context, args []string) int {
 		Scale: o.Scale, Accesses: o.Accesses, Seed: o.Seed,
 		Faults: cfg.CheckpointTag(),
 	}
-	if *resume != "" {
-		cs, err := harness.LoadCheckpoint(*resume, key)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "audit:", err)
-			return 2
-		}
-		// Campaign cells submit in list order, one per cell, so the grid
-		// is the cell list itself; a checkpoint with cells this build no
-		// longer generates is rejected by name.
-		var grid []harness.CellID
-		for i, c := range cells {
-			grid = append(grid, harness.CellID{Scope: "audit", Seq: i + 1, Unit: c.Name})
-		}
-		if err := cs.VerifyGrid(grid); err != nil {
-			fmt.Fprintln(os.Stderr, "audit:", err)
-			return 2
-		}
-		o.Checkpoint = cs
-		fmt.Fprintf(stderr, "[resuming from %s: %d completed cells]\n", *resume, cs.Cells())
-	} else if *ckptPath != "" {
-		o.Checkpoint = harness.NewCheckpoint(key)
-	}
-	start := time.Now()
-	cerr := faults.RunCampaigns(ctx, cfg, cells, o, os.Stdout)
-	if o.Checkpoint != nil && *ckptPath != "" {
-		if err := o.Checkpoint.Save(*ckptPath); err != nil {
-			fmt.Fprintf(stderr, "audit: saving checkpoint: %v\n", err)
-		}
-	}
-	if ctx.Err() != nil {
-		if o.Checkpoint != nil && *ckptPath != "" {
-			fmt.Fprintf(stderr, "audit: interrupted; completed cells saved to %s — resume with `zerodev audit -resume %s ...`\n", *ckptPath, *ckptPath)
-		} else {
-			fmt.Fprintln(stderr, "audit: interrupted")
-		}
-		return harness.ExitInterrupted
-	}
-	if cerr != nil {
-		fmt.Fprintf(stderr, "audit: %v\n", cerr)
-		return harness.ExitCode(cerr)
-	}
-	if !*quiet {
-		fmt.Fprintf(stderr, "[audit finished in %v]\n", time.Since(start).Round(time.Millisecond))
-	}
-	return 0
+	return runExperiments(ctx, "audit", []harness.Experiment{faults.Audit(cfg, cells)}, o, key, *ckptPath, *resume, *quiet)
 }

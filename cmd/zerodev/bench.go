@@ -186,7 +186,7 @@ func benchCmd(ctx context.Context, args []string) int {
 		ent, err := measureBest(ctx, id, o, 1, *count)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
-			return 1
+			return harness.ExitCode(err)
 		}
 		bf.Results = append(bf.Results, ent)
 		fmt.Printf("%-14s workers=1        %12d ns/op  %9d B/op  %7d allocs/op\n",
@@ -200,7 +200,7 @@ func benchCmd(ctx context.Context, args []string) int {
 		ent, err := measureBest(ctx, id, o, *workers, *count)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
-			return 1
+			return harness.ExitCode(err)
 		}
 		bf.Results = append(bf.Results, ent)
 		fmt.Printf("%-14s workers=%-2d       %12d ns/op  %9d B/op  %7d allocs/op  %.1fx realized\n",
@@ -216,7 +216,7 @@ func benchCmd(ctx context.Context, args []string) int {
 		ent, err := measureBest(ctx, "figbackends", bo, 1, *count)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
-			return 1
+			return harness.ExitCode(err)
 		}
 		ent.Backend = string(bid)
 		bf.Results = append(bf.Results, ent)
@@ -305,7 +305,9 @@ func measureBest(ctx context.Context, id string, o harness.Options, workers, cou
 // measure runs one experiment under testing.Benchmark. workers == 1
 // measures the serial path (the one the determinism goldens pin);
 // workers > 1 measures the parallel engine and reports its realized
-// parallelism.
+// parallelism. The first failure, or ctx's cancellation, ends the
+// measurement and is returned: b.Fatal would crash the process, since
+// testing.Benchmark outside `go test` has no test runner to report to.
 func measure(ctx context.Context, id string, o harness.Options, workers int) (benchEntry, error) {
 	e, err := harness.Get(id)
 	if err != nil {
@@ -316,7 +318,10 @@ func measure(ctx context.Context, id string, o harness.Options, workers int) (be
 	var runErr error
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+		for i := 0; i < b.N && runErr == nil; i++ {
+			if runErr = ctx.Err(); runErr != nil {
+				break
+			}
 			if workers == 1 {
 				runErr = e.Run(o, io.Discard)
 			} else {
@@ -324,11 +329,13 @@ func measure(ctx context.Context, id string, o harness.Options, workers int) (be
 				tm, runErr = e.Execute(ctx, o, io.Discard)
 				par = tm.Parallelism()
 			}
-			if runErr != nil {
-				b.Fatal(runErr)
-			}
 		}
 	})
+	if runErr == nil {
+		// The serial path does not watch ctx, so an interrupt during its
+		// last run voids the measurement here.
+		runErr = ctx.Err()
+	}
 	if runErr != nil {
 		return benchEntry{}, fmt.Errorf("%s: %w", id, runErr)
 	}

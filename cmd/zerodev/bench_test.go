@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // writeBaseline marshals a benchFile to a temp path for compareBench.
@@ -169,5 +171,21 @@ func TestFindEntryBackendAxis(t *testing.T) {
 	cur.Results = append(cur.Results, bf.Results...)
 	if err := compareBench(cur, writeBaseline(t, benchWith(1_000_000)), 0.20); err != nil {
 		t.Fatalf("backend-tagged entries broke comparison against an untagged baseline: %v", err)
+	}
+}
+
+// TestMeasureCancelled: an interrupted measurement returns an error
+// classified as cancelled (so bench exits 130) on the serial and the
+// parallel path alike, instead of failing the benchmark with b.Fatal,
+// which crashes a process not run by `go test`.
+func TestMeasureCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o := harness.Options{Scale: 32, Accesses: 1000, Seed: 1, Quick: true}
+	for _, workers := range []int{1, 2} {
+		_, err := measure(ctx, "fig2", o, workers)
+		if !harness.IsCancelled(err) {
+			t.Errorf("workers=%d: measure under a cancelled context returned %v, want a cancellation", workers, err)
+		}
 	}
 }

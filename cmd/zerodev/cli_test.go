@@ -51,10 +51,12 @@ func runCaptured(t *testing.T, cmd func() int) (code int, stdout, stderr string)
 // entry (workers) or disarm the bench gate (max-regress, where every
 // comparison with NaN is false), an audit rate scale of NaN (every
 // injection rate NaN, so nothing fires and the campaign reports clean),
-// a negative check watchdog (silently no watchdog), and an unknown
-// experiment named after a valid one. Each must exit 2 naming the valid
-// values, with nothing on stdout, before any simulation or measurement
-// runs.
+// a negative check watchdog (silently no watchdog), an unknown
+// experiment named after a valid one, and a -scale so large that the
+// presets' L1 holds fewer blocks than ways (every simulation would die
+// building its caches). Each must exit 2 naming the valid values, or
+// for -scale the scale and the cache, with nothing on stdout, before
+// any simulation or measurement runs.
 func TestMalformedValuesRefused(t *testing.T) {
 	small := []string{"-scale", "32", "-accesses", "1000"}
 	single := func(args ...string) func() int {
@@ -75,6 +77,9 @@ func TestMalformedValuesRefused(t *testing.T) {
 			return runCmd(context.Background(), append([]string{"-quick", "-scale", "64", "-accesses", "500", "-checkpoint", ""}, ids...))
 		}
 	}
+	// The refusal names the scale and the first cache that cannot be
+	// built at it: Table I's 32 KB 8-way L1 holds 4 blocks at 1/128.
+	const tooLarge = "scale 128 has a 256-byte 8-way L1"
 	for _, tc := range []struct {
 		name  string
 		cmd   func() int
@@ -107,6 +112,15 @@ func TestMalformedValuesRefused(t *testing.T) {
 		{"check -job-timeout -1s", func() int {
 			return checkCmd(context.Background(), []string{"-job-timeout", "-1s", "-quiet"})
 		}, "at least 0 (0 = off)"},
+		{"run -scale 128", func() int {
+			return runCmd(context.Background(), []string{"-quick", "-scale", "128", "-accesses", "300", "-checkpoint", "", "fig2"})
+		}, tooLarge},
+		{"single -scale 128", single("-scale", "128"), tooLarge},
+		{"compare -scale 128", compare("-scale", "128"), tooLarge},
+		{"audit -scale 128", func() int {
+			return auditCmd(context.Background(), []string{"-scale", "128", "-checkpoint", "", "-quiet"})
+		}, tooLarge},
+		{"bench -scale 128", bench("-scale", "128"), tooLarge},
 	} {
 		code, stdout, stderr := runCaptured(t, tc.cmd)
 		if code != 2 {
@@ -118,6 +132,41 @@ func TestMalformedValuesRefused(t *testing.T) {
 		if stdout != "" {
 			t.Errorf("%s: printed %q; a refused value must run nothing", tc.name, stdout)
 		}
+	}
+}
+
+// TestCompareCancelled: compare under an interrupted context renders
+// every configuration column as CANCELLED, printing no number where a
+// metric would be, and exits 130 instead of printing a table of zeros
+// and exiting 0.
+func TestCompareCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	code, stdout, stderr := runCaptured(t, func() int {
+		return compareCmd(ctx, []string{"-scale", "32", "-accesses", "1000", "-workers", "2",
+			"-configs", "baseline:1,zerodev:0,secdir:1", "canneal"})
+	})
+	if code != 130 {
+		t.Errorf("exit %d, want 130 (stderr %q)", code, stderr)
+	}
+	lines := strings.Split(stdout, "\n")
+	if len(lines) < 3 || !strings.HasPrefix(lines[1], "metric") {
+		t.Fatalf("no compare table on stdout:\n%s", stdout)
+	}
+	rows := 0
+	for _, row := range lines[2:] {
+		if row == "" {
+			break
+		}
+		rows++
+		// The metric labels hold no digits, so any digit is a number
+		// printed in a configuration column.
+		if strings.ContainsAny(row, "0123456789") || strings.Count(row, "CANCELLED") != 3 {
+			t.Errorf("row %q: want CANCELLED in each of the 3 configuration columns and no number", row)
+		}
+	}
+	if rows == 0 {
+		t.Fatalf("compare table has no rows:\n%s", stdout)
 	}
 }
 

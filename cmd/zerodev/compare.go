@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -23,13 +25,16 @@ import (
 //	zerodev compare -configs baseline:1,zerodev:0,zerodev:0.125 canneal
 func compareCmd(ctx context.Context, args []string) int {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	scale := fs.Int("scale", 8, "capacity scale divisor")
-	accesses := fs.Int("accesses", 60000, "memory accesses per core")
-	seed := fs.Uint64("seed", 1, "workload seed")
+	o := harness.DefaultOptions()
+	o.Accesses = 60000
+	o.CrashDir = ""
+	fs.IntVar(&o.Scale, "scale", o.Scale, "capacity scale divisor")
+	fs.IntVar(&o.Accesses, "accesses", o.Accesses, "memory accesses per core")
+	fs.Uint64Var(&o.Seed, "seed", 1, "workload seed")
 	configs := fs.String("configs", "baseline:1,zerodev:0",
 		"comma-separated kind:ratio list (kinds: baseline, zerodev, unbounded, secdir, mgd)")
 	mode := fs.String("mode", "noninclusive", "noninclusive | epd | inclusive")
-	workers := fs.Int("workers", harness.DefaultOptions().Workers,
+	fs.IntVar(&o.Workers, "workers", o.Workers,
 		"parallel simulation workers (1 = serial; output is identical either way)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -38,16 +43,13 @@ func compareCmd(ctx context.Context, args []string) int {
 		fmt.Fprintln(os.Stderr, "compare: exactly one application name required")
 		return 2
 	}
-	if err := (harness.Options{Scale: *scale, Accesses: *accesses, Workers: *workers}).Validate(); err != nil {
+	if err := o.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "compare:", err)
 		return 2
 	}
-	pre := config.TableI(*scale)
 	// Parse every config before simulating so flag errors surface
-	// immediately, then submit one independent job per configuration and
-	// collect results in flag order — the printed table is identical for
-	// any worker count.
-	names, specs, err := compareSpecs(pre, *configs, *mode)
+	// immediately.
+	names, specs, err := compareSpecs(config.TableI(o.Scale), *configs, *mode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "compare:", err)
 		return 2
@@ -57,57 +59,71 @@ func compareCmd(ctx context.Context, args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	type cfgResult struct {
-		run stats.Run
-		err error
-	}
-	pool := harness.NewPool(ctx, *workers, nil, "compare")
-	var futs []*harness.Future[cfgResult]
-	for i := range specs {
-		name, sysSpec := names[i], specs[i]
-		futs = append(futs, harness.Submit(pool, func(jctx context.Context) cfgResult {
-			streams := workload.Threads(prof, sysSpec.Cores, *accesses, *scale, *seed)
-			if prof.Suite == "CPU2017" {
-				streams = workload.Rate(prof, sysSpec.Cores, *accesses, *scale, *seed)
+	// No checkpoint and quiet: compare writes only its table.
+	e := harness.Experiment{ID: "compare", Run: comparison{prof, names, specs}.run}
+	return runExperiments(ctx, "compare", []harness.Experiment{e}, o, harness.CheckpointKey{}, "", "", true)
+}
+
+// comparison is compare's experiment: one workload under each named
+// configuration.
+type comparison struct {
+	prof  workload.Profile
+	names []string
+	specs []core.SystemSpec
+}
+
+// run submits one job per configuration in flag order and renders the
+// metrics side by side, so the table is identical for any worker count.
+// A failed configuration prints its CellText in its column, and a
+// failed first configuration in every speedup cell too.
+func (c comparison) run(o harness.Options, w io.Writer) error {
+	runs := make([]stats.Run, len(c.specs))
+	errs := make([]error, len(c.specs))
+	futs := make([]*harness.Future[stats.Run], len(c.specs))
+	for i, spec := range c.specs {
+		futs[i] = harness.SubmitJob(o.Pool(), c.names[i], func(ctx context.Context) (stats.Run, error) {
+			streams := workload.Threads(c.prof, spec.Cores, o.Accesses, o.Scale, o.Seed)
+			if c.prof.Suite == "CPU2017" {
+				streams = workload.Rate(c.prof, spec.Cores, o.Accesses, o.Scale, o.Seed)
 			}
-			sys := core.NewSystem(sysSpec, streams)
-			cycles, err := sys.RunCtx(jctx, harness.JobSteps(jctx))
+			sys := core.NewSystem(spec, streams)
+			cycles, err := sys.RunCtx(ctx, harness.JobSteps(ctx))
 			if err != nil {
-				return cfgResult{err: err}
+				return stats.Run{}, err
 			}
 			if err := sys.Engine.CheckInvariants(); err != nil {
-				return cfgResult{err: err}
+				return stats.Run{}, err
 			}
-			return cfgResult{run: stats.Collect(name, sys, cycles)}
-		}))
+			return stats.Collect(c.names[i], sys, cycles), nil
+		})
 	}
-	var runs []stats.Run
-	for _, fut := range futs {
-		res := fut.Wait()
-		if res.err != nil {
-			fmt.Fprintln(os.Stderr, res.err)
-			return 1
-		}
-		runs = append(runs, res.run)
+	for i, f := range futs {
+		runs[i], errs[i] = f.Result()
 	}
 
 	t := stats.Table{
-		Title:   fmt.Sprintf("%s (%d cores, %d accesses/core, scale %d)", prof.Name, pre.Cores, *accesses, *scale),
-		Headers: append([]string{"metric"}, names...),
+		Title:   fmt.Sprintf("%s (%d cores, %d accesses/core, scale %d)", c.prof.Name, c.specs[0].Cores, o.Accesses, o.Scale),
+		Headers: append([]string{"metric"}, c.names...),
 	}
 	addRow := func(label string, get func(stats.Run) string) {
 		cells := []string{label}
-		for _, r := range runs {
-			cells = append(cells, get(r))
+		for i, r := range runs {
+			if errs[i] != nil {
+				cells = append(cells, harness.CellText(errs[i]))
+			} else {
+				cells = append(cells, get(r))
+			}
 		}
 		t.AddRow(cells...)
 	}
-	base := runs[0]
 	addRow("speedup vs first", func(r stats.Run) string {
-		if prof.Suite == "CPU2017" {
-			return fmt.Sprintf("%.3f", stats.WeightedSpeedup(base, r))
+		if errs[0] != nil {
+			return harness.CellText(errs[0])
 		}
-		return fmt.Sprintf("%.3f", stats.Speedup(base, r))
+		if c.prof.Suite == "CPU2017" {
+			return fmt.Sprintf("%.3f", stats.WeightedSpeedup(runs[0], r))
+		}
+		return fmt.Sprintf("%.3f", stats.Speedup(runs[0], r))
 	})
 	addRow("cycles", func(r stats.Run) string { return fmt.Sprintf("%d", r.Cycles) })
 	addRow("core cache misses", func(r stats.Run) string { return fmt.Sprintf("%d", r.CoreCacheMisses()) })
@@ -121,8 +137,8 @@ func compareCmd(ctx context.Context, args []string) int {
 	addRow("DRAM reads/writes", func(r stats.Run) string {
 		return fmt.Sprintf("%d/%d", r.DRAM.Reads, r.DRAM.Writes)
 	})
-	t.Fprint(os.Stdout)
-	return 0
+	t.Fprint(w)
+	return errors.Join(errs...)
 }
 
 // compareSpecs parses the -configs list and -mode of compare into one

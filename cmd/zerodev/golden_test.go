@@ -101,7 +101,7 @@ func TestAuditGolden(t *testing.T) {
 	cfg.AuditEvery = 500
 	o := harness.Options{Scale: 32, Accesses: 1000, Seed: 1, Workers: 4}
 	var buf bytes.Buffer
-	if err := faults.RunCampaigns(context.Background(), cfg, faults.Campaigns(), o, &buf); err != nil {
+	if _, err := faults.Audit(cfg, faults.Campaigns()).Execute(context.Background(), o, &buf); err != nil {
 		t.Fatal(err)
 	}
 	golden(t, "audit", buf.Bytes())

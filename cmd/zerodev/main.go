@@ -8,7 +8,7 @@
 //	zerodev run [-scale N] [-accesses N] [-seed N] [-quick] [-workers N] [-backend B,..] [-list-backends] [-job-timeout D] [-resume FILE] <experiment>...
 //	zerodev run all            # every experiment, in `zerodev list` order
 //	zerodev single [-config baseline|zerodev] [-ratio R] [-policy P] <app>
-//	zerodev audit [-faults K,..] [-campaigns C,..] [-backend B,..] [-audit-every N] [-fail-fast] [-job-timeout D] [-resume FILE]
+//	zerodev audit [-faults K,..] [-campaigns C,..] [-backend B,..] [-audit-every N] [-job-timeout D] [-resume FILE]
 //	zerodev check [-cores N] [-addrs N] [-depth N] [-policies P,..] [-backends B,..] [-workers N] [-job-timeout D] [-replay FILE] [-list]
 //	zerodev bench [-experiments IDs] [-count N] [-o FILE] [-compare FILE]
 //
@@ -137,10 +137,6 @@ func runCmd(ctx context.Context, args []string) int {
 	}
 	defer stopProf()
 	o.Seed = seed
-	stderr := harness.NewSyncWriter(os.Stderr)
-	if !*quiet {
-		o.Progress = stderr
-	}
 	if err := o.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "run:", err)
 		return 2
@@ -158,10 +154,8 @@ func runCmd(ctx context.Context, args []string) int {
 	}
 	// Resolve every experiment before the first simulation, so an
 	// unknown ID refuses the whole run instead of surfacing after the
-	// experiments named before it have printed. Under -resume the same
-	// loop enumerates the cell grid the checkpoint is verified against.
+	// experiments named before it have printed.
 	exps := make([]harness.Experiment, len(ids))
-	var grid []harness.CellID
 	for i, id := range ids {
 		e, err := harness.Get(id)
 		if err != nil {
@@ -169,54 +163,65 @@ func runCmd(ctx context.Context, args []string) int {
 			return 2
 		}
 		exps[i] = e
-		if *resume == "" {
-			continue
-		}
-		cells, err := e.Cells(o)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "run:", err)
-			return 2
-		}
-		grid = append(grid, cells...)
 	}
 	key := harness.CheckpointKey{
 		Kind: "run", IDs: ids,
 		Scale: o.Scale, Accesses: o.Accesses, Seed: o.Seed, Quick: o.Quick,
 		Backends: o.Backends,
 	}
-	if *resume != "" {
-		cs, err := harness.LoadCheckpoint(*resume, key)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "run:", err)
-			return 2
+	return runExperiments(ctx, "run", exps, o, key, *ckptPath, *resume, *quiet)
+}
+
+// runExperiments is the one path run, audit and compare execute
+// through: it runs exps in order on o under one checkpoint key and
+// returns the documented exit code. With resume set it first verifies
+// the checkpoint against every experiment's cell grid
+// (Experiment.Cells), so a checkpoint holding cells this build no
+// longer submits is refused by name; with ckptPath set it saves the
+// checkpoint after each experiment. Tables go to stdout, each followed
+// by one blank line; failures go to stderr, as do progress and timing
+// lines unless quiet.
+func runExperiments(ctx context.Context, cmd string, exps []harness.Experiment, o harness.Options,
+	key harness.CheckpointKey, ckptPath, resume string, quiet bool) int {
+	stderr := harness.NewSyncWriter(os.Stderr)
+	if !quiet {
+		o.Progress = stderr
+	}
+	if resume != "" {
+		var grid []harness.CellID
+		for _, e := range exps {
+			cells, err := e.Cells(o)
+			if err != nil {
+				fmt.Fprintf(stderr, "%s: %v\n", cmd, err)
+				return harness.ExitUsage
+			}
+			grid = append(grid, cells...)
 		}
-		// The fingerprint pins the run shape; the grid check additionally
-		// pins the cell decomposition, so a checkpoint holding cells this
-		// build's experiments no longer generate is rejected by name
-		// instead of silently ignored.
-		if err := cs.VerifyGrid(grid); err != nil {
-			fmt.Fprintln(os.Stderr, "run:", err)
-			return 2
+		cs, err := harness.LoadCheckpoint(resume, key)
+		if err == nil {
+			// The fingerprint pins the run shape; the grid check
+			// additionally pins the cell decomposition.
+			err = cs.VerifyGrid(grid)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", cmd, err)
+			return harness.ExitUsage
 		}
 		o.Checkpoint = cs
-		fmt.Fprintf(stderr, "[resuming from %s: %d completed cells]\n", *resume, cs.Cells())
-	} else if *ckptPath != "" {
+		fmt.Fprintf(stderr, "[resuming from %s: %d completed cells]\n", resume, cs.Cells())
+	} else if ckptPath != "" {
 		o.Checkpoint = harness.NewCheckpoint(key)
-	}
-	saveCheckpoint := func() {
-		if o.Checkpoint == nil || *ckptPath == "" {
-			return
-		}
-		if err := o.Checkpoint.Save(*ckptPath); err != nil {
-			fmt.Fprintf(stderr, "run: saving checkpoint: %v\n", err)
-		}
 	}
 	var errs []error
 	var failed []string
 	for _, e := range exps {
 		start := time.Now()
 		tm, err := e.Execute(ctx, o, os.Stdout)
-		saveCheckpoint()
+		if ckptPath != "" {
+			if serr := o.Checkpoint.Save(ckptPath); serr != nil {
+				fmt.Fprintf(stderr, "%s: saving checkpoint: %v\n", cmd, serr)
+			}
+		}
 		if err != nil {
 			// Keep going: later experiments are independent, and the
 			// failure (including any ERR cells) is already rendered.
@@ -224,7 +229,7 @@ func runCmd(ctx context.Context, args []string) int {
 			errs = append(errs, err)
 			failed = append(failed, e.ID)
 		}
-		if !*quiet {
+		if !quiet {
 			tm.Fprint(stderr)
 			fmt.Fprintf(stderr, "[%s finished in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
 		}
@@ -236,32 +241,22 @@ func runCmd(ctx context.Context, args []string) int {
 			break
 		}
 	}
-	joined := joinErrs(errs)
 	if ctx.Err() != nil {
-		if *ckptPath != "" && o.Checkpoint != nil {
-			fmt.Fprintf(stderr, "run: interrupted; completed cells saved to %s — resume with `zerodev run -resume %s ...`\n", *ckptPath, *ckptPath)
+		if ckptPath != "" {
+			fmt.Fprintf(stderr, "%s: interrupted; completed cells saved to %s — resume with `zerodev %s -resume %s ...`\n", cmd, ckptPath, cmd, ckptPath)
 		} else {
-			fmt.Fprintln(stderr, "run: interrupted")
+			fmt.Fprintf(stderr, "%s: interrupted\n", cmd)
 		}
 		return harness.ExitInterrupted
 	}
-	if joined != nil {
-		fmt.Fprintf(stderr, "run: %d of %d experiments failed: %s\n",
-			len(failed), len(ids), strings.Join(failed, ", "))
-		return harness.ExitCode(joined)
+	if len(errs) == 0 {
+		return harness.ExitOK
 	}
-	return 0
-}
-
-// joinErrs joins without allocating for the common empty case.
-func joinErrs(errs []error) error {
-	switch len(errs) {
-	case 0:
-		return nil
-	case 1:
-		return errs[0]
+	if len(exps) > 1 {
+		fmt.Fprintf(stderr, "%s: %d of %d experiments failed: %s\n",
+			cmd, len(failed), len(exps), strings.Join(failed, ", "))
 	}
-	return errors.Join(errs...)
+	return harness.ExitCode(errors.Join(errs...))
 }
 
 // parseMode parses the -mode value of single and compare, naming the

@@ -35,6 +35,12 @@ var ErrTooManyCores = errors.New("config: core count exceeds the representable w
 // LRU, and an LRU array ranks at most MaxLRUWays ways.
 var ErrBadWays = errors.New("config: associativity outside 1..cache.MaxLRUWays")
 
+// ErrBadGeometry is returned by Validate when a preset's L1, L2 or LLC
+// bank capacity does not split into a power-of-two number of sets at its
+// associativity, as happens once a large scale divisor leaves a cache
+// fewer blocks than ways.
+var ErrBadGeometry = errors.New("config: cache capacity does not form power-of-two sets")
+
 // Preset is a socket's physical organization.
 type Preset struct {
 	Name  string
@@ -102,10 +108,10 @@ func wideServer(cores, scale int) Preset {
 	}
 }
 
-// Validate rejects a preset whose core count or LRU associativity no
-// structure in the system can represent, with a named error so CLI
-// layers can build refusal tables instead of panicking deep inside
-// CoreSet operations or cache construction.
+// Validate rejects a preset whose core count, LRU associativity or cache
+// geometry no structure in the system can represent, with a named error
+// so CLI layers can build refusal tables instead of panicking deep
+// inside CoreSet operations or cache construction.
 func (p Preset) Validate() error {
 	if p.Cores <= 0 {
 		return fmt.Errorf("config: preset %q has %d cores", p.Name, p.Cores)
@@ -121,6 +127,18 @@ func (p Preset) Validate() error {
 		if c.ways < 1 || c.ways > cache.MaxLRUWays {
 			return fmt.Errorf("%w: preset %q has %s = %d, want 1..%d",
 				ErrBadWays, p.Name, c.field, c.ways, cache.MaxLRUWays)
+		}
+	}
+	if p.LLCBanks < 1 {
+		return fmt.Errorf("%w: preset %q has %d LLC banks", ErrBadGeometry, p.Name, p.LLCBanks)
+	}
+	for _, c := range [...]struct {
+		name        string
+		bytes, ways int
+	}{{"L1", p.CPU.L1Bytes, p.CPU.L1Ways}, {"L2", p.CPU.L2Bytes, p.CPU.L2Ways}, {"LLC bank", p.LLCBytes / p.LLCBanks, p.LLCWays}} {
+		if _, err := cache.GeometryFor(c.bytes, c.ways, coher.BlockBytes); err != nil {
+			return fmt.Errorf("%w: preset %q at scale %d has a %d-byte %d-way %s (%v)",
+				ErrBadGeometry, p.Name, p.Scale, c.bytes, c.ways, c.name, err)
 		}
 	}
 	return nil

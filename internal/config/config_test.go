@@ -114,3 +114,26 @@ func TestValidateRefusesUnrankableWays(t *testing.T) {
 		t.Fatalf("Table I preset refused: %v", err)
 	}
 }
+
+// TestValidateRefusesUnbuildableGeometry is the scale refusal table:
+// each preset divides its cache capacities by the scale, so past the
+// largest scale it supports a cache holds fewer blocks than it has
+// ways, and Validate names the cache before any is built.
+func TestValidateRefusesUnbuildableGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		preset func(int) Preset
+		scale  int
+		ok     bool
+	}{
+		{"TableI", TableI, 64, true},
+		{"TableI", TableI, 128, false},
+		{"Server128", Server128, 64, true},
+		{"Server128", Server128, 128, false},
+	} {
+		err := tc.preset(tc.scale).Validate()
+		if (err == nil) != tc.ok || (err != nil && !errors.Is(err, ErrBadGeometry)) {
+			t.Errorf("%s(%d).Validate() = %v, want ok = %v or ErrBadGeometry", tc.name, tc.scale, err, tc.ok)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/backend"
 	"repro/internal/coher"
 	"repro/internal/llc"
 	"repro/internal/sim"
@@ -22,8 +21,6 @@ import (
 type dlsProtocol struct {
 	e *Engine
 }
-
-func (d *dlsProtocol) Backend() backend.ID { return backend.DLS }
 
 func (d *dlsProtocol) StoreDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View, haveView bool) (llc.View, bool) {
 	e := d.e

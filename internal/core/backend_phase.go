@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/backend"
 	"repro/internal/coher"
 	"repro/internal/directory"
 	"repro/internal/llc"
@@ -47,8 +46,6 @@ type phasePriorityProtocol struct {
 	// escalation, keeping the conflict path allocation-free.
 	scratch [1]directory.Victim
 }
-
-func (p *phasePriorityProtocol) Backend() backend.ID { return backend.PhasePriority }
 
 func (p *phasePriorityProtocol) StoreDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View, haveView bool) (llc.View, bool) {
 	e := p.e

@@ -168,10 +168,6 @@ func New(p Params, dir directory.Directory, l *llc.LLC, mesh *noc.Mesh, home Hom
 	return e
 }
 
-// Protocol exposes the backend's protocol object for instrumentation
-// and conformance tests.
-func (e *Engine) Protocol() Protocol { return e.proto }
-
 // AttachCores registers the core ports; index is the CoreID.
 func (e *Engine) AttachCores(cores []CorePort) {
 	if len(cores) != e.p.Cores {

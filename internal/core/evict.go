@@ -32,9 +32,6 @@ func (e *Engine) Evict(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher
 	v = e.maybeCorruptDE(t, addr, v)
 	ent, loc := e.findDE(addr, v)
 	if loc == locNone {
-		if e.faultHooks != nil {
-			e.faultHooks.EvictNoDEFault(t, c, addr, state)
-		}
 		e.evictNoDE(t, c, addr, state)
 		return
 	}
@@ -63,9 +60,6 @@ func (e *Engine) Evict(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher
 	}
 
 	// The last private copy left the socket's cores.
-	if e.faultHooks != nil {
-		e.faultHooks.LastHolderGoneFault(t, addr, state)
-	}
 	e.proto.LastHolderGone(t, addr, state, v)
 	blockInLLC := e.freeDE(t, addr, state == coher.PrivModified, v)
 	switch {

@@ -30,25 +30,17 @@ type FaultPort interface {
 func (e *Engine) SetFaultPort(f FaultPort) { e.faults = f }
 
 // FaultHooks is the protocol-aware fault surface: the engine consults it
-// at the three core.Protocol dispatch boundaries, so injectors can
-// perturb or observe exactly where a backend's own logic runs. All three
-// hooks are protocol-legal by construction:
-//
-//   - AdmitFault wraps the backend's admission charge (phase-priority's
-//     NACK/retry ladder) and returns the charge to apply — a NACK storm
-//     stretches it, a dropped-retry-budget perturbation collapses it.
-//     Latency-only: coherence state is untouched.
-//   - EvictNoDEFault observes an eviction notice arriving with no
-//     on-socket directory entry (zerodev's home-housed flow).
-//   - LastHolderGoneFault observes the last private copy leaving the
-//     socket, just before the backend's own LastHolderGone runs.
+// at the backend's admission dispatch, so injectors can perturb exactly
+// where a backend's own logic runs. AdmitFault wraps the backend's
+// admission charge (phase-priority's NACK/retry ladder) and returns the
+// charge to apply — a NACK storm stretches it, a dropped-retry-budget
+// perturbation collapses it. It is protocol-legal by construction:
+// latency-only, coherence state is untouched.
 //
 // Nil outside fault campaigns; with no hooks installed every path is
 // byte-identical to an ordinary run.
 type FaultHooks interface {
 	AdmitFault(t sim.Cycle, addr coher.Addr, charge sim.Cycle) sim.Cycle
-	EvictNoDEFault(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher.PrivState)
-	LastHolderGoneFault(t sim.Cycle, addr coher.Addr, state coher.PrivState)
 }
 
 // SetFaultHooks installs (or, with nil, removes) the protocol-aware

@@ -18,9 +18,6 @@ import (
 // hold the engine and are constructed by the backend.ID carried in
 // Params; they are not safe for concurrent use.
 type Protocol interface {
-	// Backend identifies the implementation in the backend registry.
-	Backend() backend.ID
-
 	// StoreDE writes the live entry for addr wherever this backend
 	// houses it, creating housing when it lives nowhere on the socket
 	// (the storeDEView contract: v is the caller's current view of addr
@@ -90,8 +87,6 @@ func newProtocol(e *Engine, id backend.ID) Protocol {
 type zerodevProtocol struct {
 	e *Engine
 }
-
-func (z *zerodevProtocol) Backend() backend.ID { return backend.ZeroDEV }
 
 func (z *zerodevProtocol) StoreDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View, haveView bool) (llc.View, bool) {
 	e := z.e
@@ -213,8 +208,6 @@ func (z *zerodevProtocol) CheckHoused(addr coher.Addr, fused bool, ent coher.Ent
 type sparseMESIProtocol struct {
 	e *Engine
 }
-
-func (s *sparseMESIProtocol) Backend() backend.ID { return backend.SparseMESI }
 
 func (s *sparseMESIProtocol) StoreDE(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View, haveView bool) (llc.View, bool) {
 	e := s.e

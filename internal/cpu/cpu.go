@@ -174,9 +174,6 @@ func New(id coher.CoreID, p Params, stream Stream, uncore Uncore) *Core {
 // Attach wires the uncore after construction.
 func (c *Core) Attach(u Uncore) { c.uncore = u }
 
-// ID returns the core's identity.
-func (c *Core) ID() coher.CoreID { return c.id }
-
 // Stats returns a snapshot of the core's counters with Cycles filled in.
 func (c *Core) Stats() Stats {
 	s := c.stats
@@ -486,10 +483,6 @@ func (c *Core) Downgrade(addr coher.Addr) coher.PrivState {
 	}
 	return prev
 }
-
-// PrivateBlocks returns the number of valid L2 lines, used by occupancy
-// instrumentation and invariant checks.
-func (c *Core) PrivateBlocks() int { return c.l2.CountValid() }
 
 // ForEachBlock visits every L2-resident block, for invariant checks.
 func (c *Core) ForEachBlock(fn func(addr coher.Addr, state coher.PrivState)) {

@@ -14,15 +14,14 @@ import (
 
 // Params are the timing parameters of a memory system, in CPU cycles.
 type Params struct {
-	Channels      int
-	RanksPerChan  int
-	BanksPerRank  int
-	RowBufBytes   int
-	TRCD          sim.Cycle // activate to column command
-	TCAS          sim.Cycle // column command to data
-	TRP           sim.Cycle // precharge
-	BurstCycles   sim.Cycle // data transfer occupancy per access
-	ChannelOverlp bool      // reserved for future use
+	Channels     int
+	RanksPerChan int
+	BanksPerRank int
+	RowBufBytes  int
+	TRCD         sim.Cycle // activate to column command
+	TCAS         sim.Cycle // column command to data
+	TRP          sim.Cycle // precharge
+	BurstCycles  sim.Cycle // data transfer occupancy per access
 }
 
 // DDR3_2133 returns the paper's Table I memory system (two single-channel

@@ -331,57 +331,50 @@ func RunCell(ctx context.Context, cfg Config, c Campaign, o harness.Options, idx
 	return res, nil
 }
 
-// RunCampaigns sweeps the cells on the options' worker pool, renders the
-// result table to w, prints the first violation's diagnostic, and
-// returns the joined failures (nil when every cell completed with zero
-// violations). Output is assembled in submission order, so it is
-// byte-identical for every worker count. ctx cancellation aborts
-// in-flight cells; when o.Checkpoint is armed, completed cells are
-// recorded under the "audit" scope and resumed cells skip execution.
-func RunCampaigns(ctx context.Context, cfg Config, cells []Campaign, o harness.Options, w io.Writer) error {
+// Audit returns the campaign over cells as the "audit" experiment. Its
+// Run submits one job per cell on the run's pool, in cell order and
+// labelled by cell name, then renders the result table and the first
+// violation's diagnostic to w, and returns the joined failures (nil
+// when every cell completed with zero violations). Output is assembled
+// in submission order, so it is byte-identical for every worker count;
+// run through Execute, a cell gets the run's crash bundles, watchdog and
+// checkpoint, recorded under the "audit" scope.
+func Audit(cfg Config, cells []Campaign) harness.Experiment {
+	return harness.Experiment{
+		ID:    "audit",
+		Title: auditTitle,
+		Run: func(o harness.Options, w io.Writer) error {
+			return runCampaigns(cfg, cells, o, w)
+		},
+	}
+}
+
+const auditTitle = "Fault-injection audit: invariant checks under injected protocol faults"
+
+func runCampaigns(cfg Config, cells []Campaign, o harness.Options, w io.Writer) error {
 	t := stats.Table{
-		Title: "Fault-injection audit: invariant checks under injected protocol faults",
+		Title: auditTitle,
 		Headers: []string{"cell", "backend", "policy", "skts", "app", "steps", "audits",
 			"flips d/m/s", "wbde -/+", "nack-", "storm", "spur", "nk/iv/dv/ep", "getde/corr/last", "verdict"},
 	}
-	p := harness.NewRunPool(ctx, o, "audit")
-
-	run := func(c Campaign, idx int) *harness.Future[CellResult] {
-		return harness.SubmitJob(p, c.Name, func(jctx context.Context) (CellResult, error) {
-			return RunCell(jctx, cfg, c, o, uint64(idx))
+	futs := make([]*harness.Future[CellResult], len(cells))
+	for i, c := range cells {
+		futs[i] = harness.SubmitJob(o.Pool(), c.Name, func(ctx context.Context) (CellResult, error) {
+			return RunCell(ctx, cfg, c, o, uint64(i))
 		})
-	}
-	var futs []*harness.Future[CellResult]
-	if !cfg.FailFast {
-		for i, c := range cells {
-			futs = append(futs, run(c, i))
-		}
 	}
 
 	var errs []error
 	violations, crashed := 0, 0
 	var first *Violation
 	for i, c := range cells {
-		var (
-			r   CellResult
-			err error
-		)
-		if cfg.FailFast {
-			// Submit-and-wait serializes the cells so no later cell
-			// starts once one has failed.
-			r, err = run(c, i).Result()
-		} else {
-			r, err = futs[i].Result()
-		}
+		r, err := futs[i].Result()
 		if err != nil {
 			crashed++
 			errs = append(errs, err)
 			cell := harness.CellText(err)
 			t.AddRow(c.Name, c.backendName(), c.label(), fmt.Sprint(c.Sockets), c.App,
 				cell, cell, cell, cell, cell, cell, cell, cell, cell, cell)
-			if cfg.FailFast {
-				break
-			}
 			continue
 		}
 		verdict := "OK"
@@ -405,9 +398,6 @@ func RunCampaigns(ctx context.Context, cfg Config, cells []Campaign, o harness.O
 			fmt.Sprintf("%d/%d/%d/%d", cnt[NACKStorm], cnt[InclVictim], cnt[DirVictim], cnt[EvictPressure]),
 			fmt.Sprintf("%d/%d/%d", r.Engine.GetDEFlows, r.Engine.CorruptedFetches, r.Engine.LastCopyRetrievals),
 			verdict)
-		if r.Violation != nil && cfg.FailFast {
-			break
-		}
 	}
 	t.Fprint(w)
 	if first != nil {
@@ -415,9 +405,6 @@ func RunCampaigns(ctx context.Context, cfg Config, cells []Campaign, o harness.O
 		fmt.Fprint(w, first.Diagnostic())
 	}
 	fmt.Fprintf(w, "\n[audit: %d cells, %d violations, %d crashed]\n", len(cells), violations, crashed)
-	if ferr := p.FailureSummary(); ferr != nil {
-		errs = append(errs, ferr)
-	}
 	return errors.Join(errs...)
 }
 

@@ -238,8 +238,6 @@ type Config struct {
 	StormSize int
 	// RateScale multiplies every injector's default rate.
 	RateScale float64
-	// FailFast stops the campaign at the first failing cell.
-	FailFast bool
 	// CrashCell, when it names a campaign cell, panics that cell
 	// mid-run — the harness's crash-resilience test hook.
 	CrashCell string
@@ -345,9 +343,6 @@ type Injector struct {
 	BrokenInjections uint64
 	FirstBreakStep   uint64
 
-	// Seam-coverage observation counters (core.FaultHooks).
-	SeamAdmits, SeamEvictNoDE, SeamLastHolderGone uint64
-
 	log   []Event
 	addrs []coher.Addr // scratch for perturb target collection
 	tg    *targets     // set by RunCell; lets hook-driven breaks reach the engines
@@ -364,9 +359,6 @@ func (in *Injector) Counts() [NumKinds]uint64 { return in.counts }
 
 // LogTail returns the retained tail of the fault log.
 func (in *Injector) LogTail() []Event { return append([]Event(nil), in.log...) }
-
-// Step returns the number of scheduler steps observed so far.
-func (in *Injector) Step() uint64 { return in.step }
 
 func (in *Injector) roll(k Kind) bool {
 	if !in.cfg.Enabled[k] {
@@ -454,7 +446,6 @@ func (in *Injector) AdmitFault(t sim.Cycle, addr coher.Addr, charge sim.Cycle) s
 	if charge <= 0 {
 		return charge
 	}
-	in.SeamAdmits++
 	if in.breaking(NACKStorm) {
 		// Known-bad variant: escalation-without-invalidation. The broken
 		// home "resolves" the conflict by discarding a live tracked entry
@@ -479,20 +470,6 @@ func (in *Injector) AdmitFault(t sim.Cycle, addr coher.Addr, charge sim.Cycle) s
 	}
 	in.note(NACKStorm, addr, "retry budget dropped: admission charge collapsed")
 	return 0
-}
-
-// EvictNoDEFault implements core.FaultHooks: it observes an eviction
-// notice arriving with no on-socket directory entry (the home-housed
-// flow), counting seam coverage for the campaign report.
-func (in *Injector) EvictNoDEFault(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher.PrivState) {
-	in.SeamEvictNoDE++
-}
-
-// LastHolderGoneFault implements core.FaultHooks: it observes the last
-// private copy leaving the socket just before the backend's own
-// LastHolderGone dispatch.
-func (in *Injector) LastHolderGoneFault(t sim.Cycle, addr coher.Addr, state coher.PrivState) {
-	in.SeamLastHolderGone++
 }
 
 // firstTrackedAddr finds a privately-cached block whose entry is in the

@@ -64,11 +64,11 @@ func TestCampaignOutputDeterministic(t *testing.T) {
 	o.Accesses = 800
 	var serial, parallel bytes.Buffer
 	o.Workers = 1
-	if err := RunCampaigns(context.Background(), cfg, cells, o, &serial); err != nil {
+	if _, err := Audit(cfg, cells).Execute(context.Background(), o, &serial); err != nil {
 		t.Fatal(err)
 	}
 	o.Workers = 8
-	if err := RunCampaigns(context.Background(), cfg, cells, o, &parallel); err != nil {
+	if _, err := Audit(cfg, cells).Execute(context.Background(), o, &parallel); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
@@ -124,7 +124,7 @@ func TestCrashCellYieldsBundleAndErr(t *testing.T) {
 	o.Accesses = 800
 	o.CrashDir = t.TempDir()
 	var buf bytes.Buffer
-	err := RunCampaigns(context.Background(), cfg, cells, o, &buf)
+	_, err := Audit(cfg, cells).Execute(context.Background(), o, &buf)
 	if err == nil {
 		t.Fatal("campaign with a crashed cell returned nil error")
 	}

@@ -74,7 +74,7 @@ func (e Experiment) Cells(o Options) ([]CellID, error) {
 // cells (panics recovered, cancellation propagated).
 func (e Experiment) ExecuteSelected(ctx context.Context, o Options, sel func(CellID) bool, cs *CheckpointState) error {
 	o.Checkpoint = cs
-	p := NewRunPool(ctx, o, e.ID)
+	p := newRunPool(ctx, o, e.ID)
 	p.EnableGate(func(seq int, unit string) (bool, error) {
 		return sel(CellID{Scope: e.ID, Seq: seq, Unit: unit}), nil
 	})

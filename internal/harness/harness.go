@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/socket"
@@ -71,12 +72,26 @@ type Options struct {
 	pool *Pool
 }
 
+// Pool returns the run's worker pool, for an experiment defined outside
+// this package to submit its jobs on (SubmitJob). It is nil when Run is
+// called directly rather than through Execute, which runs each job
+// inline as it is submitted.
+func (o Options) Pool() *Pool { return o.pool }
+
 // Validate rejects option values that would otherwise surface as deep
 // panics inside config or workload synthesis, with messages phrased for
 // the CLI flags that set them.
 func (o Options) Validate() error {
 	if o.Scale < 1 || o.Scale&(o.Scale-1) != 0 {
 		return fmt.Errorf("-scale must be a positive power of two, got %d", o.Scale)
+	}
+	// Every preset divides its cache capacities by the scale, so past
+	// some scale a cache holds fewer blocks than it has ways; refuse it
+	// here rather than in every simulation's cache constructor.
+	for _, p := range []config.Preset{config.TableI(o.Scale), config.Server128(o.Scale)} {
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("-scale %d is too large: %w", o.Scale, err)
+		}
 	}
 	if o.Accesses <= 0 {
 		return fmt.Errorf("-accesses must be positive, got %d", o.Accesses)

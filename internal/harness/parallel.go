@@ -705,13 +705,12 @@ func (p *Pool) timing() stats.RunTiming {
 	}
 }
 
-// NewRunPool returns the pool one run of scope (an experiment ID, or
-// "audit") executes on: o.Workers wide, reporting progress to
-// o.Progress, writing replay bundles stamped with scope and the
-// result-shaping options under o.CrashDir, reaping jobs that outlive
-// o.JobTimeout, and recording cells into o.Checkpoint under scope when
-// it is armed.
-func NewRunPool(ctx context.Context, o Options, scope string) *Pool {
+// newRunPool returns the pool one run of scope (an experiment ID)
+// executes on: o.Workers wide, reporting progress to o.Progress,
+// writing replay bundles stamped with scope and the result-shaping
+// options under o.CrashDir, reaping jobs that outlive o.JobTimeout, and
+// recording cells into o.Checkpoint under scope when it is armed.
+func newRunPool(ctx context.Context, o Options, scope string) *Pool {
 	p := NewPool(ctx, o.Workers, o.Progress, scope)
 	p.EnableRecovery(ReplayMeta{
 		Experiment: scope,
@@ -739,7 +738,7 @@ func NewRunPool(ctx context.Context, o Options, scope string) *Pool {
 // under the experiment's ID and already-recorded cells are served
 // without re-running.
 func (e Experiment) Execute(ctx context.Context, o Options, w io.Writer) (stats.RunTiming, error) {
-	p := NewRunPool(ctx, o, e.ID)
+	p := newRunPool(ctx, o, e.ID)
 	o.pool = p
 	start := time.Now()
 	err := e.Run(o, w)

@@ -280,9 +280,6 @@ func MustNew(capacityBytes, ways, banks int, mode Mode, repl Repl) *LLC {
 // Mode returns the fill discipline.
 func (l *LLC) Mode() Mode { return l.mode }
 
-// Repl returns the replacement policy.
-func (l *LLC) Repl() Repl { return l.repl }
-
 // Banks returns the bank count.
 func (l *LLC) Banks() int { return l.banks }
 
@@ -519,12 +516,6 @@ func (l *LLC) InvalidateData(v View) {
 		panic("llc: InvalidateData on non-data line")
 	}
 	l.arrs[v.Bank].Invalidate(v.Set, v.DataWay)
-}
-
-// Demote moves the data line of v to the bottom of the replacement
-// order, used by replacement-priority studies.
-func (l *LLC) Demote(v View) {
-	l.arrs[v.Bank].Demote(v.Set, v.DataWay)
 }
 
 // CountKinds returns the current line population by kind, which the

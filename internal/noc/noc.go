@@ -33,7 +33,6 @@ type Mesh struct {
 	corePos []pos
 	bankPos []pos
 	traffic Traffic
-	perSock sim.Cycle // extra latency when a message leaves the socket
 }
 
 // New builds a mesh for the given core and bank counts.
