@@ -185,8 +185,7 @@ func benchCmd(ctx context.Context, args []string) int {
 		}
 		ent, err := measureBest(ctx, id, o, 1, *count)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			return harness.ExitCode(err)
+			return benchFailed(id, err)
 		}
 		bf.Results = append(bf.Results, ent)
 		fmt.Printf("%-14s workers=1        %12d ns/op  %9d B/op  %7d allocs/op\n",
@@ -199,8 +198,7 @@ func benchCmd(ctx context.Context, args []string) int {
 		}
 		ent, err := measureBest(ctx, id, o, *workers, *count)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			return harness.ExitCode(err)
+			return benchFailed(id, err)
 		}
 		bf.Results = append(bf.Results, ent)
 		fmt.Printf("%-14s workers=%-2d       %12d ns/op  %9d B/op  %7d allocs/op  %.1fx realized\n",
@@ -215,8 +213,7 @@ func benchCmd(ctx context.Context, args []string) int {
 		bo.Backends = string(bid)
 		ent, err := measureBest(ctx, "figbackends", bo, 1, *count)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			return harness.ExitCode(err)
+			return benchFailed("figbackends", err)
 		}
 		ent.Backend = string(bid)
 		bf.Results = append(bf.Results, ent)
@@ -285,6 +282,17 @@ func benchIDs(s string) ([]string, error) {
 	return ids, nil
 }
 
+// benchFailed reports the failed measurement of experiment id and
+// returns the exit code; an interrupt ends with the one line that says
+// so.
+func benchFailed(id string, err error) int {
+	reportFailure(os.Stderr, "bench: "+id, err)
+	if harness.IsCancelled(err) {
+		fmt.Fprintln(os.Stderr, "bench: interrupted")
+	}
+	return harness.ExitCode(err)
+}
+
 // measureBest measures one experiment count times and keeps the
 // fastest run (accumulating raw samples).
 func measureBest(ctx context.Context, id string, o harness.Options, workers, count int) (benchEntry, error) {
@@ -337,7 +345,7 @@ func measure(ctx context.Context, id string, o harness.Options, workers int) (be
 		runErr = ctx.Err()
 	}
 	if runErr != nil {
-		return benchEntry{}, fmt.Errorf("%s: %w", id, runErr)
+		return benchEntry{}, runErr
 	}
 	return benchEntry{
 		Experiment:  id,

@@ -168,6 +168,14 @@ func TestCompareCancelled(t *testing.T) {
 	if rows == 0 {
 		t.Fatalf("compare table has no rows:\n%s", stdout)
 	}
+	// A cancelled job is not a failure: stderr counts the experiment's
+	// cancelled jobs in one line instead of printing one per job.
+	if strings.Contains(stderr, "failed after") {
+		t.Errorf("stderr reports a cancelled job as a failure:\n%s", stderr)
+	}
+	if n := strings.Count(stderr, "compare: 3 jobs cancelled\n"); n != 1 {
+		t.Errorf("stderr has %d lines counting the 3 cancelled jobs, want 1:\n%s", n, stderr)
+	}
 }
 
 // TestAuditResume: a complete audit checkpoint resumed under the same

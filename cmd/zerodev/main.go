@@ -225,7 +225,7 @@ func runExperiments(ctx context.Context, cmd string, exps []harness.Experiment, 
 		if err != nil {
 			// Keep going: later experiments are independent, and the
 			// failure (including any ERR cells) is already rendered.
-			fmt.Fprintf(stderr, "%s: %v\n", e.ID, err)
+			reportFailure(stderr, e.ID, err)
 			errs = append(errs, err)
 			failed = append(failed, e.ID)
 		}
@@ -257,6 +257,19 @@ func runExperiments(ctx context.Context, cmd string, exps []harness.Experiment, 
 			cmd, len(failed), len(exps), strings.Join(failed, ", "))
 	}
 	return harness.ExitCode(errors.Join(errs...))
+}
+
+// reportFailure prints an experiment's error to w under prefix: every
+// real failure as the error renders it, and the jobs an interrupt
+// cancelled as one count, since a cancelled job is not a failure.
+func reportFailure(w io.Writer, prefix string, err error) {
+	n, rest := harness.SplitCancelled(err)
+	if rest != nil {
+		fmt.Fprintf(w, "%s: %v\n", prefix, rest)
+	}
+	if n > 0 {
+		fmt.Fprintf(w, "%s: %d jobs cancelled\n", prefix, n)
+	}
 }
 
 // parseMode parses the -mode value of single and compare, naming the

@@ -25,8 +25,8 @@ import (
 // share no mutable state and may run concurrently in any order. The
 // engine preserves the serial output bit for bit by separating
 // scheduling from assembly: jobs are submitted in the same order the
-// serial loops ran them, each Submit returns a Future, and callers Wait
-// on the futures in submission order before formatting any output.
+// serial loops ran them, each Submit returns a Future, and callers read
+// each future's Result in submission order before formatting any output.
 // DESIGN.md ("Parallel sweeps") records the determinism argument;
 // determinism_test.go enforces it.
 //
@@ -210,6 +210,46 @@ func IsCancelled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
+// SplitCancelled separates the jobs an interrupt cancelled from the
+// real failures in a run's error. It walks err's tree of wrapped and
+// joined errors: cancelled counts the distinct jobs that failed by
+// cancellation, and rest joins every other failure, nil when there is
+// none. An error that holds no cancellation is returned unchanged as
+// rest, and so is any such subtree, text and all; a bare context error
+// is neither a job nor a failure and is dropped.
+func SplitCancelled(err error) (cancelled int, rest error) {
+	if !IsCancelled(err) {
+		return 0, err
+	}
+	var others []error
+	seen := map[*JobError]bool{}
+	var walk func(error)
+	walk = func(err error) {
+		if je, ok := err.(*JobError); ok {
+			if seen[je] {
+				return
+			}
+			seen[je] = true
+		}
+		if !IsCancelled(err) {
+			others = append(others, err)
+			return
+		}
+		switch u := err.(type) {
+		case *JobError:
+			cancelled++
+		case interface{ Unwrap() []error }:
+			for _, c := range u.Unwrap() {
+				walk(c)
+			}
+		case interface{ Unwrap() error }:
+			walk(u.Unwrap())
+		}
+	}
+	walk(err)
+	return cancelled, errors.Join(others...)
+}
+
 // CellText renders a failed cell's table text. The classification is
 // deterministic for a given failure kind, keeping tables byte-stable.
 func CellText(err error) string {
@@ -276,13 +316,6 @@ type Future[T any] struct {
 	done chan struct{}
 	val  T
 	err  error
-}
-
-// Wait blocks until the job finishes and returns its result. A failed
-// job yields the zero value; use Result to observe the failure.
-func (f *Future[T]) Wait() T {
-	<-f.done
-	return f.val
 }
 
 // Result blocks until the job finishes and returns its result and

@@ -28,8 +28,8 @@ func TestPoolOrdering(t *testing.T) {
 			futs = append(futs, Submit(p, func(context.Context) int { return i * i }))
 		}
 		for i, f := range futs {
-			if got := f.Wait(); got != i*i {
-				t.Fatalf("workers=%d: job %d returned %d, want %d", workers, i, got, i*i)
+			if got, err := f.Result(); err != nil || got != i*i {
+				t.Fatalf("workers=%d: job %d returned %d, %v, want %d, nil", workers, i, got, err, i*i)
 			}
 		}
 		if tm := p.timing(); tm.Jobs != 100 {
@@ -61,8 +61,10 @@ func TestPoolConcurrencyBound(t *testing.T) {
 		}))
 	}
 	close(gate)
-	for _, f := range futs {
-		f.Wait()
+	for i, f := range futs {
+		if _, err := f.Result(); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
 	}
 	if got := peak.Load(); got > workers {
 		t.Fatalf("observed %d concurrent jobs, bound is %d", got, workers)
@@ -78,9 +80,39 @@ func TestSerialSubmitRunsInline(t *testing.T) {
 	if !ran {
 		t.Fatal("serial Submit returned before running the job")
 	}
-	f.Wait()
+	if _, err := f.Result(); err != nil {
+		t.Fatalf("serial job: %v", err)
+	}
 	if p.Workers() != 1 {
 		t.Fatalf("Workers() = %d", p.Workers())
+	}
+}
+
+// TestSplitCancelled: a run error's cancelled jobs are counted once each
+// through any wrapping and joining, every other failure keeps its text,
+// a bare context error is dropped, and an error with no cancellation
+// comes back unchanged.
+func TestSplitCancelled(t *testing.T) {
+	c1 := &JobError{Unit: "a/base", Seq: 1, Err: context.Canceled, Attempts: 1}
+	c2 := &JobError{Unit: "b/base", Seq: 2, Err: fmt.Errorf("sim: aborted: %w", context.Canceled), Attempts: 1}
+	panicked := &JobError{Unit: "c/base", Seq: 3, Panic: "boom", Attempts: 1}
+	timedOut := &JobError{Unit: "d/base", Seq: 4, Err: ErrJobTimeout, Timeout: true, Attempts: 1}
+
+	if n, rest := SplitCancelled(nil); n != 0 || rest != nil {
+		t.Errorf("nil: %d cancelled, rest %v", n, rest)
+	}
+	real := errors.Join(fmt.Errorf("2 of 5 jobs failed; first: %w", panicked), timedOut)
+	if n, rest := SplitCancelled(real); n != 0 || rest != real {
+		t.Errorf("no cancellation: %d cancelled, rest %v, want 0 and the error itself", n, rest)
+	}
+	mixed := errors.Join(fmt.Errorf("4 of 5 jobs failed; first: %w", c1), panicked, c2, timedOut,
+		errors.Join(c1, c2), fmt.Errorf("run: %w", context.Canceled))
+	n, rest := SplitCancelled(mixed)
+	if want := errors.Join(panicked, timedOut).Error(); n != 2 || rest == nil || rest.Error() != want {
+		t.Errorf("mixed: %d cancelled, rest %v; want 2 and %q", n, rest, want)
+	}
+	if n, rest := SplitCancelled(errors.Join(c1, c2)); n != 2 || rest != nil {
+		t.Errorf("all cancelled: %d cancelled, rest %v; want 2 and nil", n, rest)
 	}
 }
 

@@ -28,8 +28,8 @@ func BenchmarkProbe(b *testing.B) {
 					l.InsertSpilled(coher.Addr(a), shared(0))
 				}
 			}
-			if got := l.slab.live > 0; got != tc.spills {
-				b.Fatalf("DE-line census %d, want non-zero = %v", l.slab.live, tc.spills)
+			if got := l.deLines > 0; got != tc.spills {
+				b.Fatalf("DE-line census %d, want non-zero = %v", l.deLines, tc.spills)
 			}
 			rng := rand.New(rand.NewSource(1))
 			addrs := make([]coher.Addr, 4096)
@@ -46,6 +46,53 @@ func BenchmarkProbe(b *testing.B) {
 			}
 			if b.N >= len(addrs) && hits == 0 {
 				b.Fatal("no probe hit")
+			}
+		})
+	}
+}
+
+// BenchmarkEntry measures a directory-entry update, Probe + Entry +
+// SetEntry, on a full 1 MB, 16-way, 8-bank LLC where every resident block
+// is a fused line. "inline" houses bare owned entries, which live in the
+// line header; "slab" houses shared entries, which live in the entry
+// slab. Each update keeps the entry's shape, so no entry moves.
+func BenchmarkEntry(b *testing.B) {
+	for _, tc := range []struct {
+		name   string
+		entry  func(a int) coher.Entry
+		update func(e coher.Entry) coher.Entry
+		slab   bool
+	}{
+		{"inline",
+			func(a int) coher.Entry { return owned(coher.CoreID(a % 128)) },
+			func(e coher.Entry) coher.Entry { e.Owner = (e.Owner + 1) % 128; return e },
+			false},
+		{"slab",
+			func(a int) coher.Entry { return shared(coher.CoreID(a%128), coher.CoreID((a+1)%128)) },
+			func(e coher.Entry) coher.Entry { e.Busy = !e.Busy; return e },
+			true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			l := MustNew(1<<20, 16, 8, NonInclusive, DataLRU)
+			for a := 0; a < l.Blocks(); a++ {
+				if _, evicted := l.InsertData(coher.Addr(a), false); evicted {
+					b.Fatalf("filling block %d evicted a line", a)
+				}
+				l.Fuse(l.Probe(coher.Addr(a)), tc.entry(a))
+			}
+			if l.deLines != l.Blocks() || (l.slab.live > 0) != tc.slab {
+				b.Fatalf("DE lines %d of %d blocks, %d slab entries", l.deLines, l.Blocks(), l.slab.live)
+			}
+			rng := rand.New(rand.NewSource(1))
+			addrs := make([]coher.Addr, 4096)
+			for i := range addrs {
+				addrs[i] = coher.Addr(rng.Intn(l.Blocks()))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v := l.Probe(addrs[i%len(addrs)])
+				l.SetEntry(v, tc.update(l.Entry(v)))
 			}
 		})
 	}

@@ -102,27 +102,39 @@ func (k LineKind) String() string {
 
 // Payload is the per-line header. It holds no pointers and fits in eight
 // bytes, so the line arrays stay small and the garbage collector never
-// scans them. The directory entry of a spilled or fused line lives out of
-// line in the LLC's entry slab; read and write it with Entry and SetEntry.
+// scans them. A spilled or fused line holds a bare owned entry (see
+// inline) in the header itself and any other entry out of line in the
+// LLC's entry slab; read and write it with Entry and SetEntry.
 type Payload struct {
 	Kind LineKind
 	// Dirty is the block-dirty bit: for KindData the usual dirty bit, for
 	// KindFused the dirty bit of the (partially corrupted) block part.
 	Dirty bool
-	// slot names the entry-slab slot of a KindSpilled or KindFused
-	// line; it is 0 on a KindData line.
+	// owner is the owner of an entry held in the header (slot 0).
+	owner coher.CoreID
+	// slot names the entry-slab slot of a KindSpilled or KindFused line
+	// whose entry lives out of line; it is 0 on a KindData line and on a
+	// line holding its entry in the header.
 	slot uint32
+}
+
+// inline reports whether e is a bare owned entry, which a line header
+// holds without a slab slot: an M/E owner pointer with no sharer bits
+// and neither flag set. That is the FPSS fused entry of §III-C2, and
+// most housed entries are of this shape (DESIGN §8).
+func inline(e *coher.Entry) bool {
+	return e.State == coher.DirOwned && e.Sharers.Empty() && !e.Busy && !e.Imprecise
 }
 
 // slabChunk is the entry count of one slab chunk. Chunks never move, so
 // the slab grows one chunk at a time instead of copying every live entry.
 const slabChunk = 1024
 
-// entrySlab stores the directory entries of the spilled and fused lines.
-// Freed slots are reused last-in first-out before a new slot is taken, so
-// the slab's size follows the peak count of housed entries. Slots are
-// numbered from 1: a data line's slot is 0, and reading slot 0 fails on
-// the chunk index instead of returning another line's entry.
+// entrySlab stores the directory entries of the spilled and fused lines
+// that a header cannot hold. Freed slots are reused last-in first-out
+// before a new slot is taken, so the slab's size follows the peak count
+// of out-of-line entries. Slots are numbered from 1, so slot 0 is free to
+// mean "no slot".
 type entrySlab struct {
 	chunks []*[slabChunk]coher.Entry
 	free   []uint32
@@ -136,7 +148,7 @@ func (s *entrySlab) at(slot uint32) *coher.Entry {
 }
 
 // alloc stores e in a free slot and returns the slot.
-func (s *entrySlab) alloc(e coher.Entry) uint32 {
+func (s *entrySlab) alloc(e *coher.Entry) uint32 {
 	var slot uint32
 	if n := len(s.free); n > 0 {
 		slot = s.free[n-1]
@@ -148,20 +160,17 @@ func (s *entrySlab) alloc(e coher.Entry) uint32 {
 		s.next++
 		slot = s.next
 	}
-	*s.at(slot) = e
+	*s.at(slot) = *e
 	s.live++
 	return slot
 }
 
-// release frees slot and returns the entry it held. The slot is zeroed
-// so a wide entry's CoreSet extension can be garbage-collected.
-func (s *entrySlab) release(slot uint32) coher.Entry {
-	p := s.at(slot)
-	e := *p
-	*p = coher.Entry{}
+// release frees slot. The slot is zeroed so a wide entry's CoreSet
+// extension can be garbage-collected.
+func (s *entrySlab) release(slot uint32) {
+	*s.at(slot) = coher.Entry{}
 	s.free = append(s.free, slot)
 	s.live--
-	return e
 }
 
 // View locates the lines related to a block address within its set:
@@ -217,12 +226,15 @@ type LLC struct {
 	protBank, protSet int
 	protTag           uint64
 
-	// slab holds the entries of the resident spilled and fused lines of
-	// all banks, so its live count is the DE-line census. While that is
-	// zero — always, for the baseline, and during warmup for ZeroDEV — a
-	// block occupies at most one way and that way is a plain data line,
-	// so Probe takes a first-match scan with no kind classification.
+	// slab holds the out-of-line entries of the resident spilled and
+	// fused lines of all banks.
 	slab entrySlab
+	// deLines is the census of resident spilled and fused lines. While
+	// it is zero — always, for the baseline, and during warmup for
+	// ZeroDEV — a block occupies at most one way and that way is a plain
+	// data line, so Probe takes a first-match scan with no kind
+	// classification.
+	deLines int
 }
 
 // New constructs an LLC with the given total capacity split over banks.
@@ -317,7 +329,7 @@ func (l *LLC) Probe(addr coher.Addr) View {
 	local := l.local(addr)
 	set := arr.SetIndex(local)
 	v := View{Bank: bank, Set: set, DataWay: -1, DEWay: -1}
-	if l.slab.live == 0 {
+	if l.deLines == 0 {
 		v.DataWay = arr.FindWay(set, arr.Tag(local))
 		return v
 	}
@@ -345,15 +357,66 @@ func (l *LLC) Payload(v View, way int) *Payload {
 }
 
 // Entry returns the directory entry housed at v.DEWay, which must
-// locate a spilled or fused line, as every view from Probe does.
+// locate a spilled or fused line, as every view from Probe does. It is
+// entryOf with the data-line check folded into the header branch, which
+// measured faster than calling a checked helper: a data line's slot 0
+// names no slab slot and traps on the chunk index instead of reading as
+// a header entry.
 func (l *LLC) Entry(v View) coher.Entry {
-	return *l.slab.at(l.arrs[v.Bank].Payload(v.Set, v.DEWay).slot)
+	p := l.arrs[v.Bank].Payload(v.Set, v.DEWay)
+	if p.slot == 0 && p.Kind != KindData {
+		return coher.Entry{State: coher.DirOwned, Owner: p.owner}
+	}
+	return *l.slab.at(p.slot)
 }
 
 // SetEntry rewrites the directory entry housed at v.DEWay, which must
 // locate a spilled or fused line.
 func (l *LLC) SetEntry(v View, e coher.Entry) {
-	*l.slab.at(l.arrs[v.Bank].Payload(v.Set, v.DEWay).slot) = e
+	p := l.arrs[v.Bank].Payload(v.Set, v.DEWay)
+	if p.Kind == KindData {
+		panic("llc: SetEntry on a data line")
+	}
+	l.store(p, &e)
+}
+
+// entryOf returns the entry of the spilled or fused header p.
+func (l *LLC) entryOf(p *Payload) coher.Entry {
+	if p.slot == 0 {
+		return coher.Entry{State: coher.DirOwned, Owner: p.owner}
+	}
+	return *l.slab.at(p.slot)
+}
+
+// store writes e into the spilled or fused header p, moving the entry
+// between the header and the slab when its shape changes: a bare owned
+// entry gives up its slot, any other entry takes one if it has none.
+func (l *LLC) store(p *Payload, e *coher.Entry) {
+	switch {
+	case inline(e):
+		if p.slot != 0 {
+			l.slab.release(p.slot)
+			p.slot = 0
+		}
+		p.owner = e.Owner
+	case p.slot == 0:
+		p.owner, p.slot = 0, l.slab.alloc(e)
+	default:
+		*l.slab.at(p.slot) = *e
+	}
+}
+
+// take removes and returns the entry of the spilled or fused header p,
+// whose line is leaving the DE-line census, freeing its slot if it has
+// one.
+func (l *LLC) take(p *Payload) coher.Entry {
+	e := l.entryOf(p)
+	if p.slot != 0 {
+		l.slab.release(p.slot)
+	}
+	p.owner, p.slot = 0, 0
+	l.deLines--
+	return e
 }
 
 // Touch applies the access-time replacement update for addr. Under
@@ -398,7 +461,8 @@ func isData(_ int, p *Payload) bool { return p.Kind == KindData }
 
 // victimWay picks a way to reuse in (bank, set) honoring the policy and
 // the transaction pin. evicted reports whether a line was displaced; ev
-// describes it, and a displaced directory entry's slab slot is freed.
+// describes it, and a displaced directory entry's slab slot, if it has
+// one, is freed.
 // Returning the eviction by value keeps the per-fill path free of heap
 // allocation (this call used to account for three quarters of all
 // allocations in a run).
@@ -439,7 +503,7 @@ func (l *LLC) victimWay(bank, set int) (way int, ev Evicted, evicted bool) {
 		Dirty: p.Dirty,
 	}
 	if p.Kind != KindData {
-		ev.Entry = l.slab.release(p.slot)
+		ev.Entry = l.take(p)
 	}
 	return w, ev, true
 }
@@ -465,7 +529,10 @@ func (l *LLC) InsertSpilled(addr coher.Addr, e coher.Entry) (ev Evicted, evicted
 	local := l.local(addr)
 	set := arr.SetIndex(local)
 	way, ev, evicted := l.victimWay(bank, set)
-	arr.Insert(set, way, local, Payload{Kind: KindSpilled, slot: l.slab.alloc(e)})
+	p := Payload{Kind: KindSpilled}
+	l.store(&p, &e)
+	arr.Insert(set, way, local, p)
+	l.deLines++
 	return ev, evicted
 }
 
@@ -477,7 +544,8 @@ func (l *LLC) Fuse(v View, e coher.Entry) {
 		panic("llc: Fuse on non-data line")
 	}
 	p.Kind = KindFused
-	p.slot = l.slab.alloc(e)
+	l.store(p, &e)
+	l.deLines++
 	l.arrs[v.Bank].Touch(v.Set, v.DataWay)
 }
 
@@ -489,8 +557,8 @@ func (l *LLC) Unfuse(v View) {
 	if p.Kind != KindFused {
 		panic("llc: Unfuse on non-fused line")
 	}
-	l.slab.release(p.slot)
-	p.Kind, p.slot = KindData, 0
+	l.take(p)
+	p.Kind = KindData
 }
 
 // DropDE removes the housed directory entry of v: a spilled line is
@@ -503,7 +571,7 @@ func (l *LLC) DropDE(v View) {
 		l.Unfuse(v)
 		return
 	}
-	l.slab.release(l.Payload(v, v.DEWay).slot)
+	l.take(l.Payload(v, v.DEWay))
 	l.arrs[v.Bank].Invalidate(v.Set, v.DEWay)
 }
 
@@ -542,7 +610,7 @@ func (l *LLC) ForEachDE(fn func(addr coher.Addr, fused bool, e coher.Entry)) {
 	for b, arr := range l.arrs {
 		arr.ForEachValid(func(_, _ int, local uint64, p *Payload) {
 			if p.Kind == KindSpilled || p.Kind == KindFused {
-				fn(l.global(b, local), p.Kind == KindFused, *l.slab.at(p.slot))
+				fn(l.global(b, local), p.Kind == KindFused, l.entryOf(p))
 			}
 		})
 	}
@@ -575,7 +643,7 @@ func (l *LLC) AppendState(buf []byte) []byte {
 			}
 			b = append(b, tag)
 			if p.Kind == KindSpilled || p.Kind == KindFused {
-				b = l.slab.at(p.slot).AppendCanonical(b)
+				b = l.entryOf(p).AppendCanonical(b)
 			}
 			return b
 		})

@@ -1,6 +1,7 @@
 package llc
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -183,15 +184,39 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// checkDELines asserts the slab's live count, which gates Probe's
-// fast path, agrees with an exhaustive kind census. Probe's single-way
-// fast path is only correct while the count is exact, so any drift is a
-// correctness bug, not a performance one.
+// bare reports whether a line header can hold e: a bare owned entry,
+// with no sharer bits and neither flag. It restates the rule here so
+// the tests do not take it from the code they check.
+func bare(e coher.Entry) bool {
+	return e.State == coher.DirOwned && e.Sharers.Empty() && !e.Busy && !e.Imprecise
+}
+
+// show renders every field of e, including those its String leaves out
+// in the current state.
+func show(e coher.Entry) string {
+	return fmt.Sprintf("%v imprecise=%v sharers=%v", e, e.Imprecise, e.Sharers)
+}
+
+// checkDELines asserts the DE-line counter, which gates Probe's fast
+// path, agrees with an exhaustive kind census, and that the slab's live
+// count is the number of housed entries that are not bare owned
+// entries. Probe's single-way fast path is only correct while the
+// counter is exact, so any drift is a correctness bug, not a
+// performance one.
 func checkDELines(t *testing.T, l *LLC) {
 	t.Helper()
 	_, s, f := l.CountKinds()
-	if l.slab.live != s+f {
-		t.Fatalf("slab live = %d, want %d (spilled %d + fused %d)", l.slab.live, s+f, s, f)
+	if l.deLines != s+f {
+		t.Fatalf("deLines = %d, want %d (spilled %d + fused %d)", l.deLines, s+f, s, f)
+	}
+	outOfLine := 0
+	l.ForEachDE(func(_ coher.Addr, _ bool, e coher.Entry) {
+		if !bare(e) {
+			outOfLine++
+		}
+	})
+	if l.slab.live != outOfLine {
+		t.Fatalf("slab live = %d, want %d housed entries that are not bare owned", l.slab.live, outOfLine)
 	}
 }
 
@@ -255,11 +280,20 @@ func TestPayloadIsCompact(t *testing.T) {
 	}
 }
 
-// churnEntry draws a live entry; one in eight is shared by a core past
-// the two inline words, so its CoreSet carries an extension.
+// churnEntry draws a live entry. Half are owned; of those, one in eight
+// is busy, one in eight imprecise and one in eight carries a stale
+// sharer bit, so owned entries take the slab as well as the header. One
+// in eight of the shared entries is shared by a core past the two inline
+// words, so its CoreSet carries an extension.
 func churnEntry(rng *rand.Rand) coher.Entry {
 	if rng.Intn(2) == 0 {
-		return owned(coher.CoreID(rng.Intn(300)))
+		e := owned(coher.CoreID(rng.Intn(300)))
+		e.Busy = rng.Intn(8) == 0
+		e.Imprecise = rng.Intn(8) == 0
+		if rng.Intn(8) == 0 {
+			e.Sharers.Add(coher.CoreID(rng.Intn(128)))
+		}
+		return e
 	}
 	e := shared(coher.CoreID(rng.Intn(128)), coher.CoreID(rng.Intn(128)))
 	if rng.Intn(4) == 0 {
@@ -273,8 +307,10 @@ func churnEntry(rng *rand.Rand) coher.Entry {
 // rewrites and evictions by insertion against a map reference of the
 // housed entries, checking after every operation that Entry, the
 // evicted entries and ForEachDE agree with the reference, that the
-// slab's live count equals the kind census, that freed slots are
-// zeroed, and that the slab never grows past the peak census.
+// DE-line counter equals the kind census, that the slab holds exactly
+// the entries that are not bare owned ones, that freed slots are
+// zeroed, and that the slab never grows past the peak count of those
+// out-of-line entries.
 func TestEntrySlabChurn(t *testing.T) {
 	for _, repl := range []Repl{LRU, SpLRU, DataLRU} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -300,8 +336,8 @@ func churn(t *testing.T, repl Repl, seed int64, ops int) {
 		}
 		want, housed := ref[ev.Addr]
 		if !housed || !ev.Entry.Same(want) {
-			t.Fatalf("%v seed %d %s: evicted %#x entry %v, reference %v (housed %v)",
-				repl, seed, op, uint64(ev.Addr), ev.Entry, want, housed)
+			t.Fatalf("%v seed %d %s: evicted %#x entry %s, reference %s (housed %v)",
+				repl, seed, op, uint64(ev.Addr), show(ev.Entry), show(want), housed)
 		}
 		delete(ref, ev.Addr)
 	}
@@ -333,7 +369,13 @@ func churn(t *testing.T, repl Repl, seed int64, ops int) {
 			l.SetEntry(v, e)
 			ref[addr] = e
 		}
-		peak = max(peak, len(ref))
+		outOfLine := 0
+		for _, e := range ref {
+			if !bare(e) {
+				outOfLine++
+			}
+		}
+		peak = max(peak, outOfLine)
 		checkChurn(t, l, ref, peak)
 	}
 }
@@ -346,25 +388,25 @@ func checkChurn(t *testing.T, l *LLC, ref map[coher.Addr]coher.Entry, peak int) 
 			t.Fatalf("%#x: reference holds %v, LLC houses nothing", uint64(a), want)
 		}
 		if got := l.Entry(v); !got.Same(want) {
-			t.Fatalf("%#x: Entry = %v, want %v", uint64(a), got, want)
+			t.Fatalf("%#x: Entry = %s, want %s", uint64(a), show(got), show(want))
 		}
 	}
 	seen := 0
 	l.ForEachDE(func(a coher.Addr, _ bool, e coher.Entry) {
 		seen++
 		if want, ok := ref[a]; !ok || !e.Same(want) {
-			t.Fatalf("ForEachDE %#x = %v, reference %v (housed %v)", uint64(a), e, want, ok)
+			t.Fatalf("ForEachDE %#x = %s, reference %s (housed %v)", uint64(a), show(e), show(want), ok)
 		}
 	})
 	if seen != len(ref) {
 		t.Fatalf("ForEachDE visited %d entries, reference holds %d", seen, len(ref))
 	}
 	checkDELines(t, l)
-	if l.slab.live != len(ref) {
-		t.Fatalf("slab live = %d, reference holds %d", l.slab.live, len(ref))
+	if l.deLines != len(ref) {
+		t.Fatalf("deLines = %d, reference holds %d", l.deLines, len(ref))
 	}
 	if int(l.slab.next) != peak {
-		t.Fatalf("slab handed out %d slots, peak census %d", l.slab.next, peak)
+		t.Fatalf("slab handed out %d slots, peak out-of-line count %d", l.slab.next, peak)
 	}
 	for _, s := range l.slab.free {
 		if e := l.slab.at(s); !e.Same(coher.Entry{}) || e.Sharers.ExtWords() != nil {
@@ -387,4 +429,48 @@ func TestEntryOfDataLinePanics(t *testing.T) {
 		}
 	}()
 	l.Entry(v)
+}
+
+func TestSetEntryOfDataLinePanics(t *testing.T) {
+	// A bare owned entry fits a header, so without the kind check a
+	// misused data way would silently take it into the data line.
+	l := tiny(LRU)
+	l.InsertData(2, false)
+	v := l.Probe(2)
+	v.DEWay = v.DataWay
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetEntry of a data line did not panic")
+		}
+	}()
+	l.SetEntry(v, owned(1))
+}
+
+// TestKindRewriteKeepsHeaderEntry mirrors the engine's FuseAll/EPD step
+// (core's updateLLCDE), which turns a fused line into a spilled one by
+// rewriting Kind and Dirty in place and then stores the new entry: the
+// header-held owner survives the rewrite, and the store that follows
+// moves the entry between header and slab as usual.
+func TestKindRewriteKeepsHeaderEntry(t *testing.T) {
+	for _, before := range []coher.Entry{owned(5), shared(1, 2)} {
+		l := tiny(LRU)
+		l.InsertData(3, true)
+		l.Fuse(l.Probe(3), before)
+		v := l.Probe(3)
+		p := l.Payload(v, v.DEWay)
+		p.Kind, p.Dirty = KindSpilled, false
+		v.DataWay, v.Fused = -1, false
+		if got := l.Entry(v); !got.Same(before) {
+			t.Fatalf("after the kind rewrite Entry = %s, want %s", show(got), show(before))
+		}
+		l.SetEntry(v, owned(7))
+		v = l.Probe(3)
+		if v.Fused || v.HasData() || !v.HasDE() {
+			t.Fatalf("view after the rewrite = %+v, want a spilled line only", v)
+		}
+		if got := l.Entry(v); !got.Same(owned(7)) {
+			t.Fatalf("Entry = %s, want %s", show(got), show(owned(7)))
+		}
+		checkDELines(t, l)
+	}
 }

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/coher"
@@ -62,5 +63,33 @@ func TestTrafficAccounting(t *testing.T) {
 func TestNewRejectsBadCounts(t *testing.T) {
 	if _, err := New(DefaultParams(), 0, 4); err == nil {
 		t.Fatal("zero cores accepted")
+	}
+}
+
+// TestTrafficAddSumsEveryCounter gives every element of every counter
+// array a distinct value and checks that adding the record twice
+// doubles each one, so a counter Add leaves out fails here.
+func TestTrafficAddSumsEveryCounter(t *testing.T) {
+	var one Traffic
+	v := reflect.ValueOf(&one).Elem()
+	n := uint64(0)
+	for f := 0; f < v.NumField(); f++ {
+		for i := 0; i < v.Field(f).Len(); i++ {
+			n++
+			v.Field(f).Index(i).SetUint(n)
+		}
+	}
+	var sum Traffic
+	sum.Add(&one)
+	sum.Add(&one)
+	got := reflect.ValueOf(sum)
+	n = 0
+	for f := 0; f < got.NumField(); f++ {
+		for i := 0; i < got.Field(f).Len(); i++ {
+			n++
+			if c := got.Field(f).Index(i).Uint(); c != 2*n {
+				t.Errorf("Add: %s[%d] = %d, want %d", got.Type().Field(f).Name, i, c, 2*n)
+			}
+		}
 	}
 }
