@@ -112,15 +112,21 @@ type Engine struct {
 	stats  Stats
 	faults FaultPort
 	// faultHooks is the optional protocol-aware fault surface, consulted
-	// at the Admit / EvictNoDE / LastHolderGone protocol-dispatch
-	// boundaries. Nil outside fault campaigns; every consultation is
-	// guarded so ordinary runs stay byte-identical.
+	// where a request is charged admission (admit). Nil outside fault
+	// campaigns; every consultation is guarded so ordinary runs stay
+	// byte-identical.
 	faultHooks FaultHooks
 
-	// proto is the backend's protocol object; the flags below cache its
-	// registry metadata so the request hot paths stay branch-cheap
-	// (no interface calls for the common decisions).
-	proto Protocol
+	// store houses a live entry wherever the backend keeps entries
+	// (storeZeroDEV, storeSparse, storeDLS or storePhase), picked once by
+	// New. The backends' other differences are the fields below, cached
+	// from the registry so the request flows stay branch-cheap.
+	store func(e *Engine, t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View, haveView bool) (after llc.View, known bool)
+	// conflict is the phase-priority directory, nil on every other
+	// backend: a request that must allocate an entry pays its NACK/retry
+	// ladder (admit), and an allocation that still conflicts escalates
+	// (storePhase).
+	conflict ConflictDirectory
 	// housesInLLC: directory entries may live in LLC lines.
 	housesInLLC bool
 	// usesHomeSegments: entries can be written back into home-memory
@@ -137,17 +143,33 @@ type Engine struct {
 	// costing DataCycles on upgrade paths (zerodev; false for DLS
 	// tag-side tracking).
 	deInDataArray bool
-	// hasAdmit: the backend's Admit hook is live (phase-priority).
-	hasAdmit bool
 	// claimsZeroDEV: the backend guarantees zero directory eviction
 	// victims; fault injectors must not force one (ForceDirectoryVictim
 	// refuses, so a misconfigured campaign cannot fake a violation).
 	claimsZeroDEV bool
 }
 
+// ConflictDirectory is the directory extension the phase-priority
+// backend programs against: it must expose allocation-conflict
+// detection (SetFull) and prioritized victim eviction (EvictVictim) on
+// top of the base Directory contract. directory.Traditional implements
+// it.
+type ConflictDirectory interface {
+	directory.Directory
+	// SetFull reports whether allocating addr would conflict: addr is
+	// absent and its set has no free way.
+	SetFull(addr coher.Addr) bool
+	// EvictVictim forcibly evicts the replacement victim of addr's set
+	// and returns it; ok is false when the set has a free way or addr is
+	// already present (no eviction needed).
+	EvictVictim(addr coher.Addr) (directory.Victim, bool)
+}
+
 // New wires an engine. cores may be attached later with AttachCores when
 // construction order requires it (cpu.Core needs the engine as its
-// Uncore and vice versa).
+// Uncore and vice versa). A backend's structural requirements
+// (directory flavor, LLC mode) are checked here, so a mis-assembled
+// spec fails at construction, not mid-run.
 func New(p Params, dir directory.Directory, l *llc.LLC, mesh *noc.Mesh, home Home) *Engine {
 	if p.Cores <= 0 || p.Cores > coher.MaxRepresentableCores {
 		panic(fmt.Sprintf("core: unsupported core count %d", p.Cores))
@@ -157,13 +179,33 @@ func New(p Params, dir directory.Directory, l *llc.LLC, mesh *noc.Mesh, home Hom
 		panic(fmt.Sprintf("core: unknown protocol backend %q", p.Backend))
 	}
 	e := &Engine{p: p, dir: dir, llc: l, mesh: mesh, home: home}
-	e.proto = newProtocol(e, info.ID)
+	switch info.ID {
+	case backend.ZeroDEV:
+		e.store = (*Engine).storeZeroDEV
+	case backend.SparseMESI:
+		e.store = (*Engine).storeSparse
+	case backend.DLS:
+		if l.Mode() != llc.Inclusive {
+			panic("core: the DLS backend requires an inclusive LLC (in-tag tracking forces inclusion)")
+		}
+		if _, capacity := dir.Occupancy(); capacity != 0 {
+			panic("core: the DLS backend is directoryless; assemble it with directory.NoDir")
+		}
+		e.store = (*Engine).storeDLS
+	case backend.PhasePriority:
+		cd, ok := dir.(ConflictDirectory)
+		if !ok {
+			panic("core: the phase-priority backend needs a directory with SetFull/EvictVictim (directory.Traditional)")
+		}
+		e.conflict, e.store = cd, (*Engine).storePhase
+	default:
+		panic(fmt.Sprintf("core: no protocol implementation for backend %q", info.ID))
+	}
 	e.housesInLLC = info.HousesDEsInLLC
 	e.usesHomeSegments = info.UsesHomeSegments
 	e.spillAllPenalty = info.ID == backend.ZeroDEV && p.Policy == SpillAll
 	e.fusedDataUsable = info.ID == backend.DLS
 	e.deInDataArray = info.ID == backend.ZeroDEV
-	e.hasAdmit = info.ID == backend.PhasePriority
 	e.claimsZeroDEV = info.ClaimsZeroDEV
 	return e
 }
@@ -245,6 +287,70 @@ func (e *Engine) findDE(addr coher.Addr, v llc.View) (coher.Entry, deLoc) {
 		return e.llc.Entry(v), locLLC
 	}
 	return coher.Entry{}, locNone
+}
+
+// arrive records request message mt from core c and returns the cycle
+// the request is looked up at addr's home bank: the trip there, the
+// interface queues and the tag lookup.
+func (e *Engine) arrive(t sim.Cycle, c coher.CoreID, addr coher.Addr, mt coher.MsgType) sim.Cycle {
+	e.record(mt)
+	return t + e.mesh.CoreToBank(c, e.bankOf(addr)) + e.p.QueueCycles + e.p.TagCycles
+}
+
+// ppRetryBudget is the modeled NACK/retry ladder depth: the number of
+// retries a conflicting allocation issues (each costing one queue
+// round, Params.QueueCycles) before the phase boundary escalates its
+// priority and the directory victimizes a live entry for it.
+const ppRetryBudget = 2
+
+// admit charges a request that found no entry on the socket, so must
+// allocate one, on the phase-priority backend (arXiv 1305.3038; callers
+// check e.conflict, so the other backends pay nothing): a conflicting
+// allocation is NACKed and retried ppRetryBudget times, and the fault
+// hooks may stretch or collapse that charge. It returns the cycle the
+// request proceeds at.
+func (e *Engine) admit(t1 sim.Cycle, addr coher.Addr) sim.Cycle {
+	var charge sim.Cycle
+	if e.conflict.SetFull(addr) {
+		e.stats.DirNACKs++
+		e.stats.DirRetries += ppRetryBudget
+		charge = ppRetryBudget * e.p.QueueCycles
+	}
+	if e.faultHooks != nil {
+		if perturbed := e.faultHooks.AdmitFault(t1, addr, charge); perturbed != charge {
+			e.stats.FaultNACKStorms++
+			charge = perturbed
+		}
+	}
+	return t1 + charge
+}
+
+// getDE fetches this socket's entry for addr out of a corrupted home
+// block (GET_DE, Fig. 16 steps 3-4) and clears the consumed segment. ok
+// is false when the home block is intact or holds no entry for the
+// socket.
+func (e *Engine) getDE(t1 sim.Cycle, addr coher.Addr) (de coher.Entry, d0 sim.Cycle, ok bool) {
+	if !e.usesHomeSegments || !e.home.Corrupted(addr) {
+		return de, d0, false
+	}
+	if de, d0, ok = e.home.GetDE(t1, e.p.Socket, addr); ok {
+		e.home.PutDE(t1, e.p.Socket, addr, coher.Entry{})
+	}
+	return de, d0, ok
+}
+
+// rehouse puts an entry recovered from a corrupted home block at cycle
+// d (by getDE, or carried by FetchBlock) back on chip, and locates it
+// for the request's redispatch as a directory hit.
+func (e *Engine) rehouse(d sim.Cycle, addr coher.Addr, de coher.Entry) (llc.View, coher.Entry, deLoc) {
+	e.stats.CorruptedFetches++
+	e.storeDE(d, addr, e.reconcileImprecise(addr, de))
+	v := e.llc.Probe(addr)
+	ent, loc := e.findDE(addr, v)
+	if loc == locNone {
+		panic(fmt.Sprintf("core: directory entry for %#x recovered from home memory vanished", uint64(addr)))
+	}
+	return v, ent, loc
 }
 
 // usableData reports whether v's data part can serve a request

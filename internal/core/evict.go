@@ -28,8 +28,7 @@ func (e *Engine) Evict(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher
 		panic(fmt.Sprintf("core: eviction notice in state %v", state))
 	}
 
-	v := e.llc.Probe(addr)
-	v = e.maybeCorruptDE(t, addr, v)
+	v := e.maybeCorruptDE(t, addr, e.llc.Probe(addr))
 	ent, loc := e.findDE(addr, v)
 	if loc == locNone {
 		e.evictNoDE(t, c, addr, state)
@@ -60,7 +59,13 @@ func (e *Engine) Evict(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher
 	}
 
 	// The last private copy left the socket's cores.
-	e.proto.LastHolderGone(t, addr, state, v)
+	if v.Fused && !e.fusedDataUsable && e.p.Policy == FuseAll && state == coher.PrivShared {
+		// FuseAll: the home retrieves the low 4+N bits from the last
+		// sharer's eviction buffer to reconstruct the fused block
+		// (§III-C3). DLS's tag-side tracking never displaced them.
+		e.stats.LastSharerRetrievals++
+		e.record(coher.MsgLastSharerAck)
+	}
 	blockInLLC := e.freeDE(t, addr, state == coher.PrivModified, v)
 	switch {
 	case state == coher.PrivModified:
@@ -78,11 +83,46 @@ func (e *Engine) Evict(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher
 }
 
 // evictNoDE handles an eviction notice whose directory entry is not on
-// the socket. Only backends that can lose the entry to home memory
-// (zerodev's corrupted-block housing, Fig. 16) have a real flow here;
-// the rest treat it as a protocol bug.
+// the socket. Only backends that write entries back into home memory
+// can lose one that way: the entry lives in the corrupted home block
+// (Fig. 16). Anywhere else it is a protocol bug.
 func (e *Engine) evictNoDE(t sim.Cycle, c coher.CoreID, addr coher.Addr, state coher.PrivState) {
-	e.proto.EvictNoDE(t, c, addr, state)
+	if !e.usesHomeSegments {
+		panic(fmt.Sprintf("core: the %s backend lost the directory entry for %#x", e.p.Backend, uint64(addr)))
+	}
+	if state == coher.PrivModified {
+		// Full cache block: the evicting core is the system-wide owner;
+		// execute the baseline writeback-to-home flow, restoring the
+		// corrupted memory copy. If the socket now holds nothing, the
+		// socket-level directory learns about it too.
+		e.home.WriteBack(t, e.p.Socket, addr)
+		if !e.llc.Probe(addr).HasData() {
+			e.socketEvictNotice(t, addr)
+		}
+		return
+	}
+	// GET_DE: fetch the corrupted block, extract this socket's entry,
+	// drop the evicting core, and write the updated entry back.
+	e.stats.GetDEFlows++
+	e.record(coher.MsgGetDE)
+	de, _, ok := e.home.GetDE(t, e.p.Socket, addr)
+	if !ok {
+		panic(fmt.Sprintf("core: eviction notice for untracked block %#x", uint64(addr)))
+	}
+	// Wide sockets: the segment may decode imprecisely. The evicting
+	// core has already dropped its copy, so reconciliation may return a
+	// dead entry — that IS the last-holder-gone case.
+	de = e.reconcileImprecise(addr, de)
+	if de.Live() && !de.RemoveHolder(c) {
+		e.home.PutDE(t, e.p.Socket, addr, de)
+		return
+	}
+	e.home.PutDE(t, e.p.Socket, addr, coher.Entry{})
+	if e.llc.Probe(addr).HasData() {
+		// The socket still holds the block in its LLC.
+		return
+	}
+	e.socketEvictNotice(t, addr)
 }
 
 // socketEvictNotice informs home that this socket no longer holds the

@@ -43,13 +43,137 @@ func (e *Engine) storeDETouch(t sim.Cycle, addr coher.Addr, ent coher.Entry, v l
 // addr's view after housing; known is false when the final view would
 // require a fresh probe (a spilled line landed at a way this function
 // cannot cheaply know, or no view was supplied). Where the entry may
-// live — and what a housing conflict costs — is the backend's call, so
-// the body dispatches to the protocol object.
+// live — and what a housing conflict costs — is the backend's call:
+// e.store is one of the four methods below.
 func (e *Engine) storeDEView(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View, haveView bool) (after llc.View, known bool) {
 	if !ent.Live() {
 		panic("core: storeDE with a dead entry; use freeDE")
 	}
-	return e.proto.StoreDE(t, addr, ent, v, haveView)
+	return e.store(e, t, addr, ent, v, haveView)
+}
+
+// storeZeroDEV is the paper's proposal: entries live in the
+// replacement-disabled sparse directory when it has room and are housed
+// in the LLC otherwise (spilled or fused per the DEPolicy), leaving the
+// socket only via the WB_DE flow into home memory.
+func (e *Engine) storeZeroDEV(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View, haveView bool) (llc.View, bool) {
+	if _, ok := e.dir.Lookup(addr); ok {
+		// In-place update. Traditional directories never evict here, but
+		// SecDir (private-partition conflicts while reconciling holders)
+		// and MgD (grain conversions) can. Victims are other addresses, so
+		// v stays current (addr's lines are protected).
+		victims, housed := e.dir.Store(addr, ent)
+		if !housed {
+			panic("core: in-place directory update refused")
+		}
+		e.displaceToLLC(t, victims)
+		return v, haveView
+	}
+	if !haveView {
+		v = e.llc.Probe(addr)
+	}
+	if v.HasDE() {
+		return e.updateLLCDE(t, addr, ent, v)
+	}
+	// New housing: the sparse directory first.
+	if victims, housed := e.dir.Store(addr, ent); housed {
+		e.displaceToLLC(t, victims)
+		return v, true
+	}
+	return e.houseInLLCView(t, addr, ent, v)
+}
+
+// displaceToLLC houses the live entries a sparse directory displaced
+// in the LLC. Under the §III-C4 ablation (a replacement-enabled sparse
+// directory under ZeroDEV) a displaced entry moves to the LLC instead of
+// generating DEVs — but it has now disturbed both structures, which is
+// why the paper prefers the replacement-disabled design.
+func (e *Engine) displaceToLLC(t sim.Cycle, victims []directory.Victim) {
+	for _, w := range victims {
+		if w.Entry.Live() {
+			e.stats.DEDisplacedToLLC++
+			e.houseInLLC(t, w.Addr, w.Entry)
+		}
+	}
+}
+
+// storeSparse is the classic bounded sparse-directory baseline: every
+// entry lives in the NRU directory, and a conflict evicts a live entry
+// whose tracked copies become DEVs.
+func (e *Engine) storeSparse(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View, haveView bool) (llc.View, bool) {
+	_, inPlace := e.dir.Lookup(addr)
+	victims, housed := e.dir.Store(addr, ent)
+	if !housed && inPlace {
+		panic("core: in-place directory update refused")
+	}
+	if !housed {
+		panic("core: baseline directory refused an allocation")
+	}
+	e.processDEVs(t, victims)
+	return v, haveView
+}
+
+// storeDLS is the directoryless shared LLC (arXiv 1206.4753): there is
+// no directory structure at all — tracking state rides in the LLC tags
+// of the block's own line, modeled as a fused line whose data part stays
+// fully usable (the entry lives tag-side, not in the data bits). The
+// consequences fall out of the existing machinery: tracking a block
+// forces it LLC-resident (a line fill on directory-entry creation when
+// the block is absent), the LLC is necessarily inclusive, and evicting a
+// tracked line is an inclusion eviction — forced invalidations, never a
+// WB_DE. Zero DEVs by construction; the costs are the residency tax and
+// inclusion victims.
+func (e *Engine) storeDLS(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View, haveView bool) (llc.View, bool) {
+	if !haveView {
+		v = e.llc.Probe(addr)
+	}
+	if v.HasDE() {
+		// In-tag update on the block's own line.
+		e.llc.SetEntry(v, ent)
+		return v, true
+	}
+	if !v.HasData() {
+		// A tracked block must be LLC-resident: fill the line before
+		// attaching tracking state — the DLS residency tax.
+		e.stats.DLSLineFills++
+		if ev, ok := e.llc.InsertData(addr, false); ok {
+			e.handleEvicted(t, ev)
+		}
+		v = e.llc.Probe(addr)
+		if !v.HasData() {
+			panic(fmt.Sprintf("core: DLS line fill for %#x failed under protection", uint64(addr)))
+		}
+	}
+	e.llc.Fuse(v, ent)
+	e.stats.DEFuses++
+	v.DEWay, v.Fused = v.DataWay, true
+	return v, true
+}
+
+// storePhase is the phase-priority directory (arXiv 1305.3038): a
+// bounded replacement-disabled directory whose allocation conflicts are
+// NACKed and retried under a bounded budget (admit charges it at request
+// entry). When the budget is spent, the phase boundary raises the
+// requester's priority and the directory evicts the replacement victim
+// — so DEVs still occur, but only at escalation, after the retry latency
+// has been charged to the conflicting request rather than silently to
+// the victim.
+func (e *Engine) storePhase(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View, haveView bool) (llc.View, bool) {
+	victims, housed := e.conflict.Store(addr, ent)
+	if housed {
+		e.processDEVs(t, victims)
+		return v, haveView
+	}
+	e.stats.PhaseEscalations++
+	w, ok := e.conflict.EvictVictim(addr)
+	if !ok {
+		panic(fmt.Sprintf("core: phase-priority escalation for %#x found no victim", uint64(addr)))
+	}
+	e.processDEVs(t, []directory.Victim{w})
+	if _, housed := e.conflict.Store(addr, ent); !housed {
+		panic(fmt.Sprintf("core: phase-priority directory refused %#x after escalation", uint64(addr)))
+	}
+	return v, haveView
 }
 
 // updateLLCDE rewrites an LLC-housed entry, converting between spilled
@@ -205,19 +329,10 @@ func (e *Engine) handleEvicted(t sim.Cycle, ev llc.Evicted) {
 			// their housed entries; the eviction is an inclusion eviction
 			// (forced invalidations), never a WB_DE to memory.
 			dirty := ev.Kind == llc.KindFused && ev.Dirty
-			ev.Entry.Holders().ForEach(func(h coher.CoreID) {
-				prev := e.cores[h].Invalidate(ev.Addr)
-				if prev == coher.PrivInvalid {
-					panic("core: inclusion victim not present in tracked core")
-				}
-				e.stats.InclusionInvals++
-				e.record(coher.MsgInv)
-				e.record(coher.MsgInvAck)
-				if prev == coher.PrivModified {
-					e.record(coher.MsgPutM)
-					dirty = true
-				}
-			})
+			if e.invalidateHolders(ev.Addr, ev.Entry, &e.stats.InclusionInvals) {
+				e.record(coher.MsgPutM)
+				dirty = true
+			}
 			if dirty {
 				e.home.WriteBack(t, e.p.Socket, ev.Addr)
 			}
@@ -241,19 +356,10 @@ func (e *Engine) backInvalidate(t sim.Cycle, ev llc.Evicted) {
 	ent, loc := e.findDE(ev.Addr, v)
 	dirty := ev.Dirty
 	if loc != locNone {
-		ent.Holders().ForEach(func(h coher.CoreID) {
-			prev := e.cores[h].Invalidate(ev.Addr)
-			if prev == coher.PrivInvalid {
-				panic("core: inclusion victim not present in tracked core")
-			}
-			e.stats.InclusionInvals++
-			e.record(coher.MsgInv)
-			e.record(coher.MsgInvAck)
-			if prev == coher.PrivModified {
-				e.record(coher.MsgPutM)
-				dirty = true
-			}
-		})
+		if e.invalidateHolders(ev.Addr, ent, &e.stats.InclusionInvals) {
+			e.record(coher.MsgPutM)
+			dirty = true
+		}
 		switch loc {
 		case locDir:
 			e.dir.Free(ev.Addr)
@@ -274,31 +380,38 @@ func (e *Engine) backInvalidate(t sim.Cycle, ev llc.Evicted) {
 // demands: every private copy the victim entry tracked becomes a DEV.
 // Dirty copies are retrieved into the LLC (§I-A1's freqmine discussion).
 func (e *Engine) processDEVs(t sim.Cycle, victims []directory.Victim) {
-	for _, v := range victims {
-		if !v.Entry.Live() {
+	for _, w := range victims {
+		if !w.Entry.Live() {
 			continue
 		}
-		dirty := false
-		v.Entry.Holders().ForEach(func(h coher.CoreID) {
-			prev := e.cores[h].Invalidate(v.Addr)
-			if prev == coher.PrivInvalid {
-				panic(fmt.Sprintf("core: DEV holder %d does not cache %#x", h, uint64(v.Addr)))
-			}
-			e.stats.DEVs++
-			e.record(coher.MsgInv)
-			e.record(coher.MsgInvAck)
-			if prev == coher.PrivModified {
-				dirty = true
-			}
-		})
-		if dirty {
+		if e.invalidateHolders(w.Addr, w.Entry, &e.stats.DEVs) {
 			e.stats.DEVDirtyRetrievals++
 			e.record(coher.MsgPutM)
-			e.fillLLCData(t, v.Addr, true)
+			e.fillLLCData(t, w.Addr, true)
 		} else {
-			e.maybeSocketEvict(t, v.Addr)
+			e.maybeSocketEvict(t, w.Addr)
 		}
 	}
+}
+
+// invalidateHolders invalidates every private copy ent tracks for addr,
+// counting each in *count, and reports whether one was modified. It is
+// the fan-out of every invalidation the requester did not ask for: DEVs,
+// inclusion victims and another socket's exclusive request.
+func (e *Engine) invalidateHolders(addr coher.Addr, ent coher.Entry, count *uint64) (dirty bool) {
+	ent.Holders().ForEach(func(h coher.CoreID) {
+		prev := e.cores[h].Invalidate(addr)
+		if prev == coher.PrivInvalid {
+			panic(fmt.Sprintf("core: core %d holds no copy of %#x its directory entry tracks", h, uint64(addr)))
+		}
+		*count++
+		e.record(coher.MsgInv)
+		e.record(coher.MsgInvAck)
+		if prev == coher.PrivModified {
+			dirty = true
+		}
+	})
+	return dirty
 }
 
 // fillLLCData delivers block data to the LLC: updates a resident line's

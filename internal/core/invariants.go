@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/coher"
+	"repro/internal/llc"
 )
 
 // BlockLister is the optional CorePort extension the invariant checker
@@ -112,23 +113,41 @@ func (e *Engine) CheckInvariants() error {
 			err = fmt.Errorf("%s entry for %#x tracks no privately cached block", where, uint64(addr))
 		}
 	}
-	live, _ := e.dir.Occupancy()
-	_ = live
 	e.llc.ForEachDE(func(addr coher.Addr, fused bool, ent coher.Entry) {
-		if !e.housesInLLC && err == nil {
-			err = fmt.Errorf("baseline housed a directory entry in the LLC for %#x", uint64(addr))
-			return
-		}
-		checkEntry(addr, ent, "LLC")
 		if err != nil {
 			return
 		}
-		// Backend-specific housing-form rules (FPSS spill/fuse
-		// invariants, DLS fused-only housing).
-		err = e.proto.CheckHoused(addr, fused, ent)
+		if !e.housesInLLC {
+			err = fmt.Errorf("the %s backend housed a directory entry in the LLC for %#x", e.p.Backend, uint64(addr))
+			return
+		}
+		checkEntry(addr, ent, "LLC")
+		if err == nil {
+			err = e.checkHousingForm(addr, fused, ent)
+		}
 	})
-	if err != nil {
-		return err
+	return err
+}
+
+// checkHousingForm validates one LLC-housed entry against the housing
+// form rules of the two backends that house entries in the LLC: DLS
+// tracking always rides the block's own line, and FPSS fuses exactly
+// the entries of M/E blocks (§III-C2).
+func (e *Engine) checkHousingForm(addr coher.Addr, fused bool, ent coher.Entry) error {
+	switch {
+	case e.fusedDataUsable:
+		if !fused {
+			return fmt.Errorf("DLS spilled a directory entry for %#x (tracking must ride the block's own line)", uint64(addr))
+		}
+	case e.p.Policy == FPSS:
+		if fused && ent.State != coher.DirOwned {
+			return fmt.Errorf("FPSS fused entry for %#x in state %v", uint64(addr), ent.State)
+		}
+		if !fused && ent.State == coher.DirOwned {
+			if v := e.llc.Probe(addr); v.HasData() && !v.Fused && e.llc.Mode() != llc.EPD {
+				return fmt.Errorf("FPSS spilled M/E entry for %#x with co-resident block", uint64(addr))
+			}
+		}
 	}
 	return nil
 }

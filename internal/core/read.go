@@ -16,32 +16,15 @@ func (e *Engine) Read(t sim.Cycle, c coher.CoreID, addr coher.Addr, code bool) (
 	e.stats.Reads++
 	e.llc.Protect(addr)
 	defer e.llc.Unprotect()
-	e.record(coher.MsgGetS)
-	bank := e.bankOf(addr)
-	t1 := t + e.mesh.CoreToBank(c, bank) + e.p.QueueCycles + e.p.TagCycles
-	v := e.llc.Probe(addr)
-	v = e.maybeCorruptDE(t1, addr, v)
+	t1 := e.arrive(t, c, addr, coher.MsgGetS)
+	v := e.maybeCorruptDE(t1, addr, e.llc.Probe(addr))
 	ent, loc := e.findDE(addr, v)
-	if e.hasAdmit && loc == locNone {
-		charge := e.proto.Admit(t1, addr)
-		if e.faultHooks != nil {
-			if perturbed := e.faultHooks.AdmitFault(t1, addr, charge); perturbed != charge {
-				e.stats.FaultNACKStorms++
-				charge = perturbed
-			}
-		}
-		t1 += charge
+	if e.conflict != nil && loc == locNone {
+		t1 = e.admit(t1, addr)
 	}
 
 	fwdBefore, memBefore := e.stats.Forwards3Hop, e.stats.LLCMisses
-	switch {
-	case loc != locNone && ent.State == coher.DirOwned:
-		done, granted = e.readFromOwner(t1, c, addr, ent)
-	case loc != locNone && ent.State == coher.DirShared:
-		done, granted = e.readShared(t1, c, addr, ent, loc, v)
-	default:
-		done, granted = e.readNoDE(t1, c, addr, code, v)
-	}
+	done, granted = e.serveRead(t1, c, addr, code, v, ent, loc)
 	// Classify the serving path for the latency breakdown: forwarded
 	// (three-hop) beats memory beats LLC hit when several fired along a
 	// corrupted-recovery chain.
@@ -58,6 +41,19 @@ func (e *Engine) Read(t sim.Cycle, c coher.CoreID, addr coher.Addr, code bool) (
 		e.stats.NReadLLCHit++
 	}
 	return done, granted
+}
+
+// serveRead dispatches a read on the entry found for addr at v: on
+// arrival, and again after an entry was recovered from a corrupted home
+// block.
+func (e *Engine) serveRead(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, code bool, v llc.View, ent coher.Entry, loc deLoc) (sim.Cycle, coher.PrivState) {
+	switch {
+	case loc != locNone && ent.State == coher.DirOwned:
+		return e.readFromOwner(t1, c, addr, ent)
+	case loc != locNone && ent.State == coher.DirShared:
+		return e.readShared(t1, c, addr, ent, loc, v)
+	}
+	return e.readNoDE(t1, c, addr, code, v)
 }
 
 // readFromOwner serves a read whose block is owned by another core: the
@@ -152,13 +148,9 @@ func (e *Engine) readNoDE(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, code bo
 		// exist in the socket (sub-case iiia); under a policy without that
 		// guarantee the home block may be corrupted with our segment live
 		// (sub-case iiib), detected through the socket directory.
-		if e.usesHomeSegments && e.home.Corrupted(addr) {
-			if de, d0, ok := e.home.GetDE(t1, e.p.Socket, addr); ok {
-				e.home.PutDE(t1, e.p.Socket, addr, coher.Entry{}) // segment consumed
-				e.stats.CorruptedFetches++
-				e.storeDE(d0, addr, e.reconcileImprecise(addr, de))
-				return e.redispatchRead(d0, c, addr, code)
-			}
+		if de, d0, ok := e.getDE(t1, addr); ok {
+			v, ent, loc := e.rehouse(d0, addr, de)
+			return e.serveRead(d0, c, addr, code, v, ent, loc)
 		}
 		e.stats.LLCDataHits++
 		e.record(coher.MsgData)
@@ -167,10 +159,9 @@ func (e *Engine) readNoDE(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, code bo
 		if code || e.home.SharedElsewhere(e.p.Socket, addr) {
 			granted = coher.PrivShared
 		}
-		if granted == coher.PrivExclusive && e.llc.Mode() == llc.EPD {
-			// The block becomes temporarily private: EPD deallocates it.
-			e.llc.InvalidateData(v)
-			v.DataWay = -1
+		if granted == coher.PrivExclusive {
+			// The block becomes temporarily private.
+			e.privatize(&v)
 		}
 		e.storeDETouch(t1, addr, e.freshEntry(c, granted), v)
 		return done, granted
@@ -182,10 +173,9 @@ func (e *Engine) readNoDE(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, code bo
 	if res.DE != nil {
 		// The home block was corrupted and carried our directory entry;
 		// re-house it and finish as a directory hit with an LLC data miss.
-		e.stats.CorruptedFetches++
 		e.stats.CorruptedReadMisses++
-		e.storeDE(res.Done, addr, e.reconcileImprecise(addr, *res.DE))
-		return e.redispatchRead(res.Done, c, addr, code)
+		v, ent, loc := e.rehouse(res.Done, addr, *res.DE)
+		return e.serveRead(res.Done, c, addr, code, v, ent, loc)
 	}
 	granted := coher.PrivExclusive
 	if code || res.SharedGrant {
@@ -201,21 +191,6 @@ func (e *Engine) readNoDE(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, code bo
 	e.storeDE(t1, addr, e.freshEntry(c, granted))
 	e.touchLLC(addr)
 	return done, granted
-}
-
-// redispatchRead re-runs the directory-hit paths after a directory entry
-// was recovered from a corrupted home block.
-func (e *Engine) redispatchRead(t sim.Cycle, c coher.CoreID, addr coher.Addr, code bool) (sim.Cycle, coher.PrivState) {
-	v := e.llc.Probe(addr)
-	ent, loc := e.findDE(addr, v)
-	switch {
-	case loc != locNone && ent.State == coher.DirOwned:
-		return e.readFromOwner(t, c, addr, ent)
-	case loc != locNone && ent.State == coher.DirShared:
-		return e.readShared(t, c, addr, ent, loc, v)
-	default:
-		panic("core: recovered directory entry vanished")
-	}
 }
 
 // freshEntry builds the directory entry for a block newly granted to c.

@@ -97,18 +97,7 @@ func (e *Engine) InvalidateSocketCopiesWithDE(t sim.Cycle, addr coher.Addr, ent 
 
 func (e *Engine) invalidateLocal(t sim.Cycle, addr coher.Addr, ent coher.Entry, known bool, loc deLoc, v llc.View) (dirty bool) {
 	if known && ent.Live() {
-		ent.Holders().ForEach(func(h coher.CoreID) {
-			prev := e.cores[h].Invalidate(addr)
-			if prev == coher.PrivInvalid {
-				panic("core: socket invalidation of an untracked copy")
-			}
-			e.stats.DemandInvals++
-			e.record(coher.MsgInv)
-			e.record(coher.MsgInvAck)
-			if prev == coher.PrivModified {
-				dirty = true
-			}
-		})
+		dirty = e.invalidateHolders(addr, ent, &e.stats.DemandInvals)
 	}
 	switch loc {
 	case locDir:

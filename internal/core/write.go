@@ -15,31 +15,26 @@ func (e *Engine) Write(t sim.Cycle, c coher.CoreID, addr coher.Addr) sim.Cycle {
 	e.stats.Writes++
 	e.llc.Protect(addr)
 	defer e.llc.Unprotect()
-	e.record(coher.MsgGetX)
-	bank := e.bankOf(addr)
-	t1 := t + e.mesh.CoreToBank(c, bank) + e.p.QueueCycles + e.p.TagCycles
-	v := e.llc.Probe(addr)
-	v = e.maybeCorruptDE(t1, addr, v)
+	t1 := e.arrive(t, c, addr, coher.MsgGetX)
+	v := e.maybeCorruptDE(t1, addr, e.llc.Probe(addr))
 	ent, loc := e.findDE(addr, v)
-	if e.hasAdmit && loc == locNone {
-		charge := e.proto.Admit(t1, addr)
-		if e.faultHooks != nil {
-			if perturbed := e.faultHooks.AdmitFault(t1, addr, charge); perturbed != charge {
-				e.stats.FaultNACKStorms++
-				charge = perturbed
-			}
-		}
-		t1 += charge
+	if e.conflict != nil && loc == locNone {
+		t1 = e.admit(t1, addr)
 	}
+	return e.serveWrite(t1, c, addr, v, ent, loc)
+}
 
+// serveWrite dispatches a GetX on the entry found for addr at v: on
+// arrival, and again after an entry was recovered from a corrupted home
+// block.
+func (e *Engine) serveWrite(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, v llc.View, ent coher.Entry, loc deLoc) sim.Cycle {
 	switch {
 	case loc != locNone && ent.State == coher.DirOwned:
 		return e.writeFromOwner(t1, c, addr, ent, v)
 	case loc != locNone && ent.State == coher.DirShared:
 		return e.writeShared(t1, c, addr, ent, v)
-	default:
-		return e.writeNoDE(t1, c, addr, v)
 	}
+	return e.writeNoDE(t1, c, addr, v)
 }
 
 // writeFromOwner transfers ownership: the request is forwarded to the
@@ -74,33 +69,17 @@ func (e *Engine) writeShared(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, ent 
 		panic("core: GetX from a core already sharing the block (should be an upgrade)")
 	}
 	bank := e.bankOf(addr)
-	usableLLC := e.usableData(v)
-	var elected coher.CoreID
-	if !usableLLC {
-		elected = ent.Sharers.First()
-	}
-
-	ackDone := t1
-	ent.Sharers.ForEach(func(s coher.CoreID) {
-		prev := e.cores[s].Invalidate(addr)
-		if prev != coher.PrivShared {
-			panic(fmt.Sprintf("core: sharer %d holds %#x in %v", s, uint64(addr), prev))
-		}
-		e.stats.DemandInvals++
-		e.record(coher.MsgInv)
-		e.record(coher.MsgInvAck)
-		arr := t1 + e.mesh.BankToCore(bank, s) + 1 + e.mesh.CoreToCore(s, c)
-		ackDone = max2(ackDone, arr)
-	})
+	ackDone := e.invalidateSharers(t1, c, addr, ent.Sharers)
 
 	var dataDone sim.Cycle
-	if usableLLC {
+	if e.usableData(v) {
 		e.stats.LLCDataHits++
 		e.record(coher.MsgData)
 		dataDone = t1 + e.p.DataCycles + e.mesh.BankToCore(bank, c)
 	} else {
 		// Forward combined with the invalidation to the elected sharer:
 		// the critical path matches the baseline (§III-C3).
+		elected := ent.Sharers.First()
 		e.stats.LLCMisses++
 		e.stats.Forwards3Hop++
 		e.record(coher.MsgFwd)
@@ -108,13 +87,7 @@ func (e *Engine) writeShared(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, ent 
 		dataDone = t1 + e.mesh.BankToCore(bank, elected) + e.p.OwnerLookupCycles + e.mesh.CoreToCore(elected, c)
 	}
 
-	if e.llc.Mode() == llc.EPD {
-		// The block becomes temporarily private: deallocate the data line.
-		if v.HasData() && !v.Fused {
-			e.llc.InvalidateData(v)
-			v.DataWay = -1
-		}
-	}
+	e.privatize(&v)
 	// Other sockets sharing the block must be invalidated before the
 	// core takes it to M.
 	acq := e.home.AcquireExclusive(t1, e.p.Socket, addr)
@@ -126,21 +99,14 @@ func (e *Engine) writeShared(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, ent 
 func (e *Engine) writeNoDE(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, v llc.View) sim.Cycle {
 	bank := e.bankOf(addr)
 	if e.usableData(v) {
-		if e.usesHomeSegments && e.home.Corrupted(addr) {
-			if de, d0, ok := e.home.GetDE(t1, e.p.Socket, addr); ok {
-				e.home.PutDE(t1, e.p.Socket, addr, coher.Entry{})
-				e.stats.CorruptedFetches++
-				e.storeDE(d0, addr, e.reconcileImprecise(addr, de))
-				return e.redispatchWrite(d0, c, addr)
-			}
+		if de, d0, ok := e.getDE(t1, addr); ok {
+			v, ent, loc := e.rehouse(d0, addr, de)
+			return e.serveWrite(d0, c, addr, v, ent, loc)
 		}
 		e.stats.LLCDataHits++
 		e.record(coher.MsgData)
 		done := t1 + e.p.DataCycles + e.mesh.BankToCore(bank, c)
-		if e.llc.Mode() == llc.EPD {
-			e.llc.InvalidateData(v)
-			v.DataWay = -1
-		}
+		e.privatize(&v)
 		done = max2(done, e.home.AcquireExclusive(t1, e.p.Socket, addr))
 		e.storeDETouch(t1, addr, coher.Entry{State: coher.DirOwned, Owner: c}, v)
 		return done
@@ -148,9 +114,8 @@ func (e *Engine) writeNoDE(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, v llc.
 	e.stats.LLCMisses++
 	res := e.home.FetchBlock(t1, e.p.Socket, addr, true)
 	if res.DE != nil {
-		e.stats.CorruptedFetches++
-		e.storeDE(res.Done, addr, e.reconcileImprecise(addr, *res.DE))
-		return e.redispatchWrite(res.Done, c, addr)
+		v, ent, loc := e.rehouse(res.Done, addr, *res.DE)
+		return e.serveWrite(res.Done, c, addr, v, ent, loc)
 	}
 	if e.llc.Mode() != llc.EPD {
 		e.fillLLCData(t1, addr, false)
@@ -162,19 +127,6 @@ func (e *Engine) writeNoDE(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, v llc.
 	return done
 }
 
-func (e *Engine) redispatchWrite(t sim.Cycle, c coher.CoreID, addr coher.Addr) sim.Cycle {
-	v := e.llc.Probe(addr)
-	ent, loc := e.findDE(addr, v)
-	switch {
-	case loc != locNone && ent.State == coher.DirOwned:
-		return e.writeFromOwner(t, c, addr, ent, v)
-	case loc != locNone && ent.State == coher.DirShared:
-		return e.writeShared(t, c, addr, ent, v)
-	default:
-		panic("core: recovered directory entry vanished")
-	}
-}
-
 // Upgrade handles an S→M upgrade: the requester already holds the block
 // in S; other sharers are invalidated and a dataless response carries
 // the expected ack count.
@@ -182,28 +134,17 @@ func (e *Engine) Upgrade(t sim.Cycle, c coher.CoreID, addr coher.Addr) sim.Cycle
 	e.stats.Upgrades++
 	e.llc.Protect(addr)
 	defer e.llc.Unprotect()
-	e.record(coher.MsgUpg)
-	bank := e.bankOf(addr)
-	t1 := t + e.mesh.CoreToBank(c, bank) + e.p.QueueCycles + e.p.TagCycles
-	v := e.llc.Probe(addr)
-	v = e.maybeCorruptDE(t1, addr, v)
+	t1 := e.arrive(t, c, addr, coher.MsgUpg)
+	v := e.maybeCorruptDE(t1, addr, e.llc.Probe(addr))
 	ent, loc := e.findDE(addr, v)
-
 	if loc == locNone {
 		// ZeroDEV: the entry may live in home memory (corrupted block).
-		if e.usesHomeSegments && e.home.Corrupted(addr) {
-			if de, d0, ok := e.home.GetDE(t1, e.p.Socket, addr); ok {
-				e.home.PutDE(t1, e.p.Socket, addr, coher.Entry{})
-				e.stats.CorruptedFetches++
-				e.storeDE(d0, addr, e.reconcileImprecise(addr, de))
-				v = e.llc.Probe(addr)
-				ent, loc = e.findDE(addr, v)
-				t1 = d0
-			}
-		}
-		if loc == locNone {
+		de, d0, ok := e.getDE(t1, addr)
+		if !ok {
 			panic(fmt.Sprintf("core: upgrade for %#x with no directory entry", uint64(addr)))
 		}
+		v, ent, loc = e.rehouse(d0, addr, de)
+		t1 = d0
 	}
 	if ent.State != coher.DirShared || !ent.Sharers.Contains(c) {
 		panic(fmt.Sprintf("core: upgrade for %#x in state %v without requester sharing", uint64(addr), ent.State))
@@ -217,31 +158,43 @@ func (e *Engine) Upgrade(t sim.Cycle, c coher.CoreID, addr coher.Addr) sim.Cycle
 		deLat = e.p.DataCycles
 	}
 
+	bank := e.bankOf(addr)
+	ackDone := e.invalidateSharers(t1, c, addr, ent.Sharers)
+	e.record(coher.MsgDataless)
+	done := max2(t1+deLat+e.mesh.BankToCore(bank, c), ackDone)
+	done = max2(done, e.home.AcquireExclusive(t1, e.p.Socket, addr))
+
+	e.privatize(&v)
+	e.storeDETouch(t1, addr, coher.Entry{State: coher.DirOwned, Owner: c}, v)
+	return done
+}
+
+// invalidateSharers invalidates every sharer but c of a block c takes
+// to M (GetX or upgrade) and returns when the last acknowledgement
+// reaches c.
+func (e *Engine) invalidateSharers(t1 sim.Cycle, c coher.CoreID, addr coher.Addr, sharers coher.CoreSet) sim.Cycle {
+	bank := e.bankOf(addr)
 	ackDone := t1
-	ent.Sharers.ForEach(func(s coher.CoreID) {
+	sharers.ForEach(func(s coher.CoreID) {
 		if s == c {
 			return
 		}
-		prev := e.cores[s].Invalidate(addr)
-		if prev != coher.PrivShared {
+		if prev := e.cores[s].Invalidate(addr); prev != coher.PrivShared {
 			panic(fmt.Sprintf("core: sharer %d holds %#x in %v", s, uint64(addr), prev))
 		}
 		e.stats.DemandInvals++
 		e.record(coher.MsgInv)
 		e.record(coher.MsgInvAck)
-		arr := t1 + e.mesh.BankToCore(bank, s) + 1 + e.mesh.CoreToCore(s, c)
-		ackDone = max2(ackDone, arr)
+		ackDone = max2(ackDone, t1+e.mesh.BankToCore(bank, s)+1+e.mesh.CoreToCore(s, c))
 	})
-	e.record(coher.MsgDataless)
-	done := max2(t1+deLat+e.mesh.BankToCore(bank, c), ackDone)
-	done = max2(done, e.home.AcquireExclusive(t1, e.p.Socket, addr))
+	return ackDone
+}
 
-	if e.llc.Mode() == llc.EPD {
-		if v.HasData() && !v.Fused {
-			e.llc.InvalidateData(v)
-			v.DataWay = -1
-		}
+// privatize deallocates the block's LLC data line from v under EPD,
+// where a block taken private leaves the LLC (§III-E).
+func (e *Engine) privatize(v *llc.View) {
+	if e.llc.Mode() == llc.EPD && v.HasData() && !v.Fused {
+		e.llc.InvalidateData(*v)
+		v.DataWay = -1
 	}
-	e.storeDETouch(t1, addr, coher.Entry{State: coher.DirOwned, Owner: c}, v)
-	return done
 }
