@@ -74,15 +74,39 @@ func (e *Entry) RemoveHolder(c CoreID) (freed bool) {
 	return false
 }
 
-// String renders the entry for debugging.
+// String renders the entry for debugging. A canonical entry prints only
+// the fields its state gives meaning to; any other field Same compares
+// is printed when it is set, so two entries Same tells apart never print
+// alike.
 func (e Entry) String() string {
+	var s string
 	switch e.State {
 	case DirOwned:
-		return fmt.Sprintf("M/E owner=%d busy=%v", e.Owner, e.Busy)
+		s = fmt.Sprintf("M/E owner=%d busy=%v", e.Owner, e.Busy)
+		if !e.Sharers.Empty() {
+			s += fmt.Sprintf(" sharers=%v", e.Sharers)
+		}
 	case DirShared:
-		return fmt.Sprintf("S sharers=%v busy=%v", e.Sharers, e.Busy)
+		s = fmt.Sprintf("S sharers=%v busy=%v", e.Sharers, e.Busy)
+		if e.Owner != 0 {
+			s += fmt.Sprintf(" owner=%d", e.Owner)
+		}
+	default:
+		s = e.State.String()
+		if e.Owner != 0 {
+			s += fmt.Sprintf(" owner=%d", e.Owner)
+		}
+		if !e.Sharers.Empty() {
+			s += fmt.Sprintf(" sharers=%v", e.Sharers)
+		}
+		if e.Busy {
+			s += " busy=true"
+		}
 	}
-	return "I"
+	if e.Imprecise {
+		s += " imprecise=true"
+	}
+	return s
 }
 
 // StorageBits returns the number of bits a stable full-map entry occupies

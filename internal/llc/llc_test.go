@@ -1,7 +1,6 @@
 package llc
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -191,12 +190,6 @@ func bare(e coher.Entry) bool {
 	return e.State == coher.DirOwned && e.Sharers.Empty() && !e.Busy && !e.Imprecise
 }
 
-// show renders every field of e, including those its String leaves out
-// in the current state.
-func show(e coher.Entry) string {
-	return fmt.Sprintf("%v imprecise=%v sharers=%v", e, e.Imprecise, e.Sharers)
-}
-
 // checkDELines asserts the DE-line counter, which gates Probe's fast
 // path, agrees with an exhaustive kind census, and that the slab's live
 // count is the number of housed entries that are not bare owned
@@ -336,8 +329,8 @@ func churn(t *testing.T, repl Repl, seed int64, ops int) {
 		}
 		want, housed := ref[ev.Addr]
 		if !housed || !ev.Entry.Same(want) {
-			t.Fatalf("%v seed %d %s: evicted %#x entry %s, reference %s (housed %v)",
-				repl, seed, op, uint64(ev.Addr), show(ev.Entry), show(want), housed)
+			t.Fatalf("%v seed %d %s: evicted %#x entry %v, reference %v (housed %v)",
+				repl, seed, op, uint64(ev.Addr), ev.Entry, want, housed)
 		}
 		delete(ref, ev.Addr)
 	}
@@ -388,14 +381,14 @@ func checkChurn(t *testing.T, l *LLC, ref map[coher.Addr]coher.Entry, peak int) 
 			t.Fatalf("%#x: reference holds %v, LLC houses nothing", uint64(a), want)
 		}
 		if got := l.Entry(v); !got.Same(want) {
-			t.Fatalf("%#x: Entry = %s, want %s", uint64(a), show(got), show(want))
+			t.Fatalf("%#x: Entry = %v, want %v", uint64(a), got, want)
 		}
 	}
 	seen := 0
 	l.ForEachDE(func(a coher.Addr, _ bool, e coher.Entry) {
 		seen++
 		if want, ok := ref[a]; !ok || !e.Same(want) {
-			t.Fatalf("ForEachDE %#x = %s, reference %s (housed %v)", uint64(a), show(e), show(want), ok)
+			t.Fatalf("ForEachDE %#x = %v, reference %v (housed %v)", uint64(a), e, want, ok)
 		}
 	})
 	if seen != len(ref) {
@@ -461,7 +454,7 @@ func TestKindRewriteKeepsHeaderEntry(t *testing.T) {
 		p.Kind, p.Dirty = KindSpilled, false
 		v.DataWay, v.Fused = -1, false
 		if got := l.Entry(v); !got.Same(before) {
-			t.Fatalf("after the kind rewrite Entry = %s, want %s", show(got), show(before))
+			t.Fatalf("after the kind rewrite Entry = %v, want %v", got, before)
 		}
 		l.SetEntry(v, owned(7))
 		v = l.Probe(3)
@@ -469,7 +462,7 @@ func TestKindRewriteKeepsHeaderEntry(t *testing.T) {
 			t.Fatalf("view after the rewrite = %+v, want a spilled line only", v)
 		}
 		if got := l.Entry(v); !got.Same(owned(7)) {
-			t.Fatalf("Entry = %s, want %s", show(got), show(owned(7)))
+			t.Fatalf("Entry = %v, want %v", got, owned(7))
 		}
 		checkDELines(t, l)
 	}
