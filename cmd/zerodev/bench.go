@@ -310,12 +310,14 @@ func measureBest(ctx context.Context, id string, o harness.Options, workers, cou
 	return ent, nil
 }
 
-// measure runs one experiment under testing.Benchmark. workers == 1
-// measures the serial path (the one the determinism goldens pin);
-// workers > 1 measures the parallel engine and reports its realized
-// parallelism. The first failure, or ctx's cancellation, ends the
-// measurement and is returned: b.Fatal would crash the process, since
-// testing.Benchmark outside `go test` has no test runner to report to.
+// measure runs one experiment under testing.Benchmark, through the
+// harness's worker pool at the given worker count: one worker measures
+// the serial path (the one the determinism goldens pin), more measure
+// the parallel engine and report its realized parallelism. Every
+// simulation watches ctx, so the first failure or ctx's cancellation
+// ends the measurement within sim.CancelEvery steps and is returned:
+// b.Fatal would crash the process, since testing.Benchmark outside
+// `go test` has no test runner to report to.
 func measure(ctx context.Context, id string, o harness.Options, workers int) (benchEntry, error) {
 	e, err := harness.Get(id)
 	if err != nil {
@@ -327,23 +329,13 @@ func measure(ctx context.Context, id string, o harness.Options, workers int) (be
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N && runErr == nil; i++ {
-			if runErr = ctx.Err(); runErr != nil {
-				break
-			}
-			if workers == 1 {
-				runErr = e.Run(o, io.Discard)
-			} else {
-				var tm stats.RunTiming
-				tm, runErr = e.Execute(ctx, o, io.Discard)
+			var tm stats.RunTiming
+			tm, runErr = e.Execute(ctx, o, io.Discard)
+			if workers > 1 {
 				par = tm.Parallelism()
 			}
 		}
 	})
-	if runErr == nil {
-		// The serial path does not watch ctx, so an interrupt during its
-		// last run voids the measurement here.
-		runErr = ctx.Err()
-	}
 	if runErr != nil {
 		return benchEntry{}, runErr
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/harness"
 )
@@ -187,5 +188,24 @@ func TestMeasureCancelled(t *testing.T) {
 		if !harness.IsCancelled(err) {
 			t.Errorf("workers=%d: measure under a cancelled context returned %v, want a cancellation", workers, err)
 		}
+	}
+}
+
+// TestMeasureSerialCancelPrompt: a cancellation during a serial
+// measurement ends it within sim.CancelEvery steps of the in-flight
+// simulation, not when the experiment run finishes (a full run here
+// takes tens of seconds).
+func TestMeasureSerialCancelPrompt(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	o := harness.Options{Scale: 32, Accesses: 100_000, Seed: 1, Quick: true}
+	time.AfterFunc(200*time.Millisecond, cancel)
+	start := time.Now()
+	_, err := measure(ctx, "fig18", o, 1)
+	if !harness.IsCancelled(err) {
+		t.Fatalf("measure returned %v, want a cancellation", err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("serial measurement took %v to honour a cancellation at 200ms", took)
 	}
 }

@@ -54,113 +54,137 @@ func traceCmd(args []string) int {
 
 	switch {
 	case *record != "":
-		prof, err := workload.Get(*record)
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.MkdirAll(*dir, 0o755); err != nil {
-			fatal(err)
-		}
-		streams := workload.Threads(prof, *threads, *accesses, *scale, *seed)
-		for i, s := range streams {
-			path := filepath.Join(*dir, fmt.Sprintf("%s.t%02d.ztr", prof.Name, i))
-			// Atomic write: a kill mid-record leaves the previous trace
-			// (or nothing), never a truncated .ztr that replays short.
-			f, err := atomicio.Create(path)
-			if err != nil {
-				fatal(err)
-			}
-			w, err := trace.NewWriter(f)
-			if err != nil {
-				f.Discard()
-				fatal(err)
-			}
-			n, err := trace.Record(w, s, -1)
-			if err != nil {
-				f.Discard()
-				fatal(err)
-			}
-			if err := w.Close(); err != nil {
-				f.Discard()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("%s: %d accesses\n", path, n)
-		}
-
+		err = recordTraces(*record, *dir, *threads, *accesses, *scale, *seed)
 	case *info != "":
-		f, err := os.Open(*info)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		r, err := trace.NewReader(f)
-		if err != nil {
-			fatal(err)
-		}
-		var loads, stores, ifetches, instrs uint64
-		blocks := map[uint64]bool{}
-		for {
-			a, ok := r.Next()
-			if !ok {
-				break
-			}
-			instrs += uint64(a.Gap) + 1
-			blocks[uint64(a.Addr)] = true
-			switch a.Kind {
-			case cpu.Load:
-				loads++
-			case cpu.Store:
-				stores++
-			case cpu.Ifetch:
-				ifetches++
-			}
-		}
-		if err := r.Err(); err != nil {
-			fatal(err)
-		}
-		total := loads + stores + ifetches
-		fmt.Printf("%s: %d accesses (%d loads, %d stores, %d ifetches), %d instructions, %d distinct blocks (%.1f KB footprint)\n",
-			*info, total, loads, stores, ifetches, instrs, len(blocks), float64(len(blocks))*64/1024)
-
+		err = traceInfo(*info)
 	case *replay != "":
-		matches, err := filepath.Glob(filepath.Join(*replay, "*.ztr"))
-		if err != nil || len(matches) == 0 {
-			fatal(fmt.Errorf("no .ztr files under %s", *replay))
-		}
-		if len(matches) != spec.Cores {
-			fatal(fmt.Errorf("need %d trace files (one per core), found %d", spec.Cores, len(matches)))
-		}
-		streams := make([]cpu.Stream, spec.Cores)
-		for i, m := range matches {
-			f, err := os.Open(m)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			r, err := trace.NewReader(f)
-			if err != nil {
-				fatal(err)
-			}
-			streams[i] = r
-		}
-		sys := core.NewSystem(spec, streams)
-		cycles := sys.Run()
-		run := stats.Collect("replay", sys, cycles)
-		fmt.Printf("replayed %d cores from %s: cycles=%d misses=%d DEVs=%d traffic=%d bytes\n",
-			spec.Cores, *replay, cycles, run.CoreCacheMisses(), run.Engine.DEVs, run.Traffic.TotalBytes())
-		if err := sys.Engine.CheckInvariants(); err != nil {
-			fatal(err)
-		}
-		fmt.Println("invariants: ok")
-
+		err = replayTraces(spec, *replay)
 	default:
 		fmt.Fprintln(os.Stderr, "trace: one of -record, -info, -replay required")
 		return 2
 	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "trace:", err)
+		return 1
+	}
 	return 0
+}
+
+// recordTraces writes one trace file per thread of application app
+// under dir.
+func recordTraces(app, dir string, threads, accesses, scale int, seed uint64) error {
+	prof, err := workload.Get(app)
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for i, s := range workload.Threads(prof, threads, accesses, scale, seed) {
+		path := filepath.Join(dir, fmt.Sprintf("%s.t%02d.ztr", prof.Name, i))
+		n, err := recordTrace(path, s)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%s: %d accesses\n", path, n)
+	}
+	return nil
+}
+
+// recordTrace writes s to path atomically: a kill mid-record leaves the
+// previous trace (or nothing), never a truncated .ztr that replays
+// short.
+func recordTrace(path string, s cpu.Stream) (uint64, error) {
+	f, err := atomicio.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	var n uint64
+	w, err := trace.NewWriter(f)
+	if err == nil {
+		n, err = trace.Record(w, s, -1)
+	}
+	if err == nil {
+		err = w.Close()
+	}
+	if err != nil {
+		f.Discard()
+		return 0, err
+	}
+	return n, f.Close()
+}
+
+// traceInfo summarizes one trace file.
+func traceInfo(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	r, err := trace.NewReader(f)
+	if err != nil {
+		return err
+	}
+	var loads, stores, ifetches, instrs uint64
+	blocks := map[uint64]bool{}
+	for {
+		a, ok := r.Next()
+		if !ok {
+			break
+		}
+		instrs += uint64(a.Gap) + 1
+		blocks[uint64(a.Addr)] = true
+		switch a.Kind {
+		case cpu.Load:
+			loads++
+		case cpu.Store:
+			stores++
+		case cpu.Ifetch:
+			ifetches++
+		}
+	}
+	if err := r.Err(); err != nil {
+		return err
+	}
+	total := loads + stores + ifetches
+	fmt.Printf("%s: %d accesses (%d loads, %d stores, %d ifetches), %d instructions, %d distinct blocks (%.1f KB footprint)\n",
+		path, total, loads, stores, ifetches, instrs, len(blocks), float64(len(blocks))*64/1024)
+	return nil
+}
+
+// replayTraces runs one trace file per core from dir through spec and
+// checks the invariants. Every file it opens is closed when it returns.
+func replayTraces(spec core.SystemSpec, dir string) error {
+	matches, err := filepath.Glob(filepath.Join(dir, "*.ztr"))
+	if err != nil || len(matches) == 0 {
+		return fmt.Errorf("no .ztr files under %s", dir)
+	}
+	if len(matches) != spec.Cores {
+		return fmt.Errorf("need %d trace files (one per core), found %d", spec.Cores, len(matches))
+	}
+	streams := make([]cpu.Stream, spec.Cores)
+	for i, m := range matches {
+		f, err := os.Open(m)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		r, err := trace.NewReader(f)
+		if err != nil {
+			return fmt.Errorf("%s: %w", m, err)
+		}
+		streams[i] = r
+	}
+	sys := core.NewSystem(spec, streams)
+	cycles := sys.Run()
+	run := stats.Collect("replay", sys, cycles)
+	fmt.Printf("replayed %d cores from %s: cycles=%d misses=%d DEVs=%d traffic=%d bytes\n",
+		spec.Cores, dir, cycles, run.CoreCacheMisses(), run.Engine.DEVs, run.Traffic.TotalBytes())
+	if err := sys.Engine.CheckInvariants(); err != nil {
+		return err
+	}
+	fmt.Println("invariants: ok")
+	return nil
 }
 
 // replaySpec builds the system trace -replay runs from its -config value,
@@ -173,9 +197,4 @@ func replaySpec(pre config.Preset, cfg string) (core.SystemSpec, error) {
 		return pre.ZeroDEV(0, core.FPSS, llc.DataLRU, llc.NonInclusive), nil
 	}
 	return core.SystemSpec{}, fmt.Errorf("unknown -config %q (want baseline or zerodev)", cfg)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }
