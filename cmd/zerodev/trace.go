@@ -123,7 +123,7 @@ func traceInfo(path string) error {
 	defer f.Close()
 	r, err := trace.NewReader(f)
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	var loads, stores, ifetches, instrs uint64
 	blocks := map[uint64]bool{}
@@ -144,7 +144,7 @@ func traceInfo(path string) error {
 		}
 	}
 	if err := r.Err(); err != nil {
-		return err
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	total := loads + stores + ifetches
 	fmt.Printf("%s: %d accesses (%d loads, %d stores, %d ifetches), %d instructions, %d distinct blocks (%.1f KB footprint)\n",

@@ -2,9 +2,9 @@
 // axis: the registry of directory/LLC-housing strategies the engine can
 // run, with the metadata every layer above (config presets, the figure
 // harness, the model checker, the CLI) keys off. The protocol logic
-// itself lives in package core behind the core.Protocol interface —
-// the FlexiCAS coh_policy separation: the policy object is distinct
-// from the cache structures it programs — while this package owns the
+// itself lives in package core, one engine for every backend: core.New
+// picks the backend's housing strategy once and caches the flags below,
+// and the request flows branch on those — while this package owns the
 // *axis*: stable names, claimed guarantees, parsing, and the single
 // source of truth enumerations and goldens pin against.
 //

@@ -30,10 +30,10 @@ type FaultPort interface {
 func (e *Engine) SetFaultPort(f FaultPort) { e.faults = f }
 
 // FaultHooks is the protocol-aware fault surface: the engine consults it
-// at the backend's admission dispatch, so injectors can perturb exactly
-// where a backend's own logic runs. AdmitFault wraps the backend's
-// admission charge (phase-priority's NACK/retry ladder) and returns the
-// charge to apply — a NACK storm stretches it, a dropped-retry-budget
+// where it charges a phase-priority request's admission (admit), so
+// injectors can perturb exactly where that backend's own logic runs.
+// AdmitFault wraps the admission charge (the NACK/retry ladder) and
+// returns the charge to apply — a NACK storm stretches it, a dropped-retry-budget
 // perturbation collapses it. It is protocol-legal by construction:
 // latency-only, coherence state is untouched.
 //

@@ -137,8 +137,10 @@ func (e *Engine) Upgrade(t sim.Cycle, c coher.CoreID, addr coher.Addr) sim.Cycle
 	t1 := e.arrive(t, c, addr, coher.MsgUpg)
 	v := e.maybeCorruptDE(t1, addr, e.llc.Probe(addr))
 	ent, loc := e.findDE(addr, v)
+	// The requester's entry must exist, so an upgrade never allocates one
+	// and pays no admission charge. Under ZeroDEV the entry may live in
+	// home memory (corrupted block).
 	if loc == locNone {
-		// ZeroDEV: the entry may live in home memory (corrupted block).
 		de, d0, ok := e.getDE(t1, addr)
 		if !ok {
 			panic(fmt.Sprintf("core: upgrade for %#x with no directory entry", uint64(addr)))

@@ -22,7 +22,7 @@
 //
 //   - NACK storms and dropped-retry-budget perturbations at the
 //     phase-priority admission ladder (arXiv 1305.3038), via the
-//     core.FaultHooks Admit boundary;
+//     core.FaultHooks admission boundary;
 //   - forced inclusion-victim storms and in-tag sharer corruption for
 //     DLS, whose coherence state rides the LLC tags (arXiv 1206.4753);
 //   - sparse-directory victim-entry injection and NRU-state scrambling
@@ -74,7 +74,7 @@ const (
 	// block, exercising the socket-eviction notice and last-copy flows.
 	SpuriousInval
 	// NACKStorm perturbs a conflicted phase-priority admission at the
-	// core.FaultHooks Admit boundary: either the requester is NACKed for
+	// core.FaultHooks admission boundary: either the requester is NACKed for
 	// extra retry rounds beyond the protocol's budget (a storm), or the
 	// retry messages are lost and the ladder's latency charge collapses
 	// (a dropped retry budget). Latency-only; coherence state is
@@ -320,12 +320,11 @@ type targets struct {
 }
 
 // Injector drives every fault kind for one campaign cell. It implements
-// core.FaultPort (DE bit-flips), core.FaultHooks (protocol-dispatch
-// seams: admission perturbation and eviction-boundary observation) and
-// socket.ForwardFaults (NACK drops); chaosHome routes WB_DE/PutDE
-// messages through it; perturb injects the step-granular kinds. All
-// methods run on the cell's single simulation goroutine, so no locking
-// is needed.
+// core.FaultPort (DE bit-flips), core.FaultHooks (admission
+// perturbation) and socket.ForwardFaults (NACK drops); chaosHome routes
+// WB_DE/PutDE messages through it; perturb injects the step-granular
+// kinds. All methods run on the cell's single simulation goroutine, so
+// no locking is needed.
 type Injector struct {
 	rng *sim.RNG
 	cfg Config
@@ -435,7 +434,7 @@ func (in *Injector) DropDENFNack(f int, addr coher.Addr) bool {
 }
 
 // AdmitFault implements core.FaultHooks. The engine consults it after
-// the backend's Admit hook priced the request's admission; charge > 0
+// pricing a phase-priority request's admission; charge > 0
 // means the admission conflicted (phase-priority's NACK/retry ladder
 // fired), which is the NACKStorm opportunity: half the injections
 // stretch the ladder with extra NACK rounds, half drop the retry budget
