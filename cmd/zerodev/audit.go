@@ -19,13 +19,9 @@ func cellBackends(cells []faults.Campaign) []backend.ID {
 	seen := make(map[backend.ID]bool)
 	var out []backend.ID
 	for _, c := range cells {
-		id := c.Backend
-		if id == "" {
-			id = backend.ZeroDEV
-		}
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
+		if !seen[c.Backend] {
+			seen[c.Backend] = true
+			out = append(out, c.Backend)
 		}
 	}
 	return out

@@ -58,29 +58,6 @@ type benchEntry struct {
 	Parallelism float64 `json:"parallelism,omitempty"`
 }
 
-// benchPreChange carries the pre-optimization receipts: the same
-// benchmark measured on the commit before the hot-path overhaul, on the
-// same machine and at the same settings, so the improvement claim in
-// this file is checkable against raw samples rather than folklore. The
-// block is copied forward verbatim whenever the output file is
-// regenerated.
-type benchPreChange struct {
-	Commit           string  `json:"commit"`
-	Description      string  `json:"description"`
-	Method           string  `json:"method"`
-	Fig18SamplesNs   []int64 `json:"fig18_samples_ns"`
-	Fig18MedianNs    int64   `json:"fig18_median_ns"`
-	Fig18AllocsPerOp int64   `json:"fig18_allocs_per_op"`
-	Fig18BytesPerOp  int64   `json:"fig18_bytes_per_op"`
-	// Multisocket receipts: the serial multisocket experiment measured
-	// on the commit before the since-deleted epoch scheduler landed,
-	// same machine and settings.
-	MultisocketSamplesNs   []int64 `json:"multisocket_samples_ns,omitempty"`
-	MultisocketMedianNs    int64   `json:"multisocket_median_ns,omitempty"`
-	MultisocketAllocsPerOp int64   `json:"multisocket_allocs_per_op,omitempty"`
-	MultisocketBytesPerOp  int64   `json:"multisocket_bytes_per_op,omitempty"`
-}
-
 type benchConfig struct {
 	Scale    int    `json:"scale"`
 	Accesses int    `json:"accesses"`
@@ -89,16 +66,12 @@ type benchConfig struct {
 }
 
 type benchFile struct {
-	Version    int             `json:"version"`
-	Go         string          `json:"go"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Config     benchConfig     `json:"config"`
-	PreChange  *benchPreChange `json:"pre_change,omitempty"`
-	// Fig18ImprovementX = pre_change.fig18_median_ns / the serial Fig18
-	// ns_per_op of this file, when both are present.
-	Fig18ImprovementX float64      `json:"fig18_improvement_vs_pre_change,omitempty"`
-	Notes             []string     `json:"notes,omitempty"`
-	Results           []benchEntry `json:"results"`
+	Version    int          `json:"version"`
+	Go         string       `json:"go"`
+	GOMAXPROCS int          `json:"gomaxprocs"`
+	Config     benchConfig  `json:"config"`
+	Notes      []string     `json:"notes,omitempty"`
+	Results    []benchEntry `json:"results"`
 }
 
 // benchCmd measures the per-figure experiment benchmarks at Quick scale
@@ -121,8 +94,7 @@ func benchCmd(ctx context.Context, args []string) int {
 	backendsFlag := fs.String("backends", "all",
 		"comma-separated protocol backends to benchmark individually (each a figbackends run restricted to one backend; \"\" disables)")
 	count := fs.Int("count", 3, "runs per benchmark; ns/op is the fastest run")
-	out := fs.String("o", fmt.Sprintf("BENCH_%d.json", BenchFileVersion),
-		"output file; an existing file's pre_change block is carried forward")
+	out := fs.String("o", fmt.Sprintf("BENCH_%d.json", BenchFileVersion), "output file")
 	compare := fs.String("compare", "", "baseline BENCH JSON to regression-gate against")
 	maxRegress := fs.Float64("max-regress", 0.20,
 		"fail if serial Fig18 ns/op exceeds the -compare baseline by more than this fraction (finite, at least 0)")
@@ -176,7 +148,6 @@ func benchCmd(ctx context.Context, args []string) int {
 		Go:         runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Config:     benchConfig{Scale: o.Scale, Accesses: o.Accesses, Seed: o.Seed, Quick: o.Quick},
-		PreChange:  loadPreChange(*out),
 	}
 	for _, id := range serial {
 		if ctx.Err() != nil {
@@ -223,11 +194,6 @@ func benchCmd(ctx context.Context, args []string) int {
 	if len(bids) > 0 {
 		bf.Notes = append(bf.Notes,
 			"backend entries are the figbackends sweep restricted to one protocol backend each, measured serially (workers=1); they compare protocol cost, not host parallelism")
-	}
-
-	if e := bf.find("fig18", 1); e != nil && bf.PreChange != nil && e.NsPerOp > 0 {
-		bf.Fig18ImprovementX = float64(bf.PreChange.Fig18MedianNs) / float64(e.NsPerOp)
-		fmt.Printf("fig18 serial vs pre-change median: %.2fx\n", bf.Fig18ImprovementX)
 	}
 
 	// Gate before writing: -o may name the -compare baseline itself, and
@@ -378,24 +344,6 @@ func (f *benchFile) findBackend(id, backendID string, workers int) *benchEntry {
 		}
 	}
 	return nil
-}
-
-// loadPreChange carries the pre_change receipts forward from an
-// existing output file, so regenerating the benchmarks never silently
-// drops the baseline the improvement claim is made against.
-func loadPreChange(path string) *benchPreChange {
-	if path == "" {
-		return nil
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var old benchFile
-	if err := json.Unmarshal(b, &old); err != nil {
-		return nil
-	}
-	return old.PreChange
 }
 
 // compareBench gates the serial Fig18 measurement against a baseline

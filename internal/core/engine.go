@@ -103,19 +103,17 @@ type CorePort interface {
 // Engine is the per-socket uncore: sparse directory, LLC, interconnect
 // and the coherence state machine gluing them to the home agent.
 type Engine struct {
-	p      Params
-	cores  []CorePort
-	dir    directory.Directory
-	llc    *llc.LLC
-	mesh   *noc.Mesh
-	home   Home
-	stats  Stats
-	faults FaultPort
-	// faultHooks is the optional protocol-aware fault surface, consulted
-	// where a request is charged admission (admit). Nil outside fault
+	p     Params
+	cores []CorePort
+	dir   directory.Directory
+	llc   *llc.LLC
+	mesh  *noc.Mesh
+	home  Home
+	stats Stats
+	// faults is the fault injector (SetFaults), nil outside fault
 	// campaigns; every consultation is guarded so ordinary runs stay
 	// byte-identical.
-	faultHooks FaultHooks
+	faults Faults
 
 	// store houses a live entry wherever the backend keeps entries
 	// (storeZeroDEV, storeSparse, storeDLS or storePhase), picked once by
@@ -307,7 +305,7 @@ const ppRetryBudget = 2
 // allocate one, on the phase-priority backend (arXiv 1305.3038; callers
 // check e.conflict, so the other backends pay nothing): a conflicting
 // allocation is NACKed and retried ppRetryBudget times, and the fault
-// hooks may stretch or collapse that charge. It returns the cycle the
+// injector may stretch or collapse that charge. It returns the cycle the
 // request proceeds at.
 func (e *Engine) admit(t1 sim.Cycle, addr coher.Addr) sim.Cycle {
 	var charge sim.Cycle
@@ -316,8 +314,8 @@ func (e *Engine) admit(t1 sim.Cycle, addr coher.Addr) sim.Cycle {
 		e.stats.DirRetries += ppRetryBudget
 		charge = ppRetryBudget * e.p.QueueCycles
 	}
-	if e.faultHooks != nil {
-		if perturbed := e.faultHooks.AdmitFault(t1, addr, charge); perturbed != charge {
+	if e.faults != nil {
+		if perturbed := e.faults.AdmitFault(t1, addr, charge); perturbed != charge {
 			e.stats.FaultNACKStorms++
 			charge = perturbed
 		}

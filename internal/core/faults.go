@@ -16,38 +16,29 @@ import (
 // and last-copy retrieval. DESIGN.md ("Fault model") gives the full
 // fault → recovery-flow map.
 
-// FaultPort is consulted by the engine at LLC read time, once per
-// top-level request that observes a housed directory entry. A true
-// return means the stored encoding suffered an uncorrectable bit flip:
-// the engine retires the entry to home memory (quarantine via the WB_DE
-// flow) and re-reads the LLC, after which the usual no-DE recovery
-// paths serve the request. internal/faults implements it.
-type FaultPort interface {
+// Faults is the engine's fault-injection seam; internal/faults
+// implements it. Nil outside fault campaigns, and with none installed
+// every path is byte-identical to an ordinary run.
+type Faults interface {
+	// CorruptHousedDE is consulted at LLC read time, once per top-level
+	// request that observes a housed directory entry. A true return means
+	// the stored encoding suffered an uncorrectable bit flip: the engine
+	// retires the entry to home memory (quarantine via the WB_DE flow)
+	// and re-reads the LLC, after which the usual no-DE recovery paths
+	// serve the request.
 	CorruptHousedDE(addr coher.Addr, ent coher.Entry, fused bool) bool
-}
-
-// SetFaultPort installs (or, with nil, removes) the fault injector.
-func (e *Engine) SetFaultPort(f FaultPort) { e.faults = f }
-
-// FaultHooks is the protocol-aware fault surface: the engine consults it
-// where it charges a phase-priority request's admission (admit), so
-// injectors can perturb exactly where that backend's own logic runs.
-// AdmitFault wraps the admission charge (the NACK/retry ladder) and
-// returns the charge to apply — a NACK storm stretches it, a dropped-retry-budget
-// perturbation collapses it. It is protocol-legal by construction:
-// latency-only, coherence state is untouched.
-//
-// Nil outside fault campaigns; with no hooks installed every path is
-// byte-identical to an ordinary run.
-type FaultHooks interface {
+	// AdmitFault wraps a phase-priority request's admission charge
+	// (admit: the NACK/retry ladder) and returns the charge to apply — a
+	// NACK storm stretches it, a dropped retry budget collapses it. It is
+	// protocol-legal by construction: latency-only, coherence state is
+	// untouched.
 	AdmitFault(t sim.Cycle, addr coher.Addr, charge sim.Cycle) sim.Cycle
 }
 
-// SetFaultHooks installs (or, with nil, removes) the protocol-aware
-// fault surface.
-func (e *Engine) SetFaultHooks(h FaultHooks) { e.faultHooks = h }
+// SetFaults installs (or, with nil, removes) the fault injector.
+func (e *Engine) SetFaults(f Faults) { e.faults = f }
 
-// maybeCorruptDE gives the fault port a chance to corrupt the housed
+// maybeCorruptDE gives the fault injector a chance to corrupt the housed
 // directory entry the current request is about to consume. It runs only
 // at top-level request entry — never inside a recovery redispatch — so
 // the engine observes the corruption exactly as it would observe a
@@ -65,28 +56,21 @@ func (e *Engine) maybeCorruptDE(t sim.Cycle, addr coher.Addr, v llc.View) llc.Vi
 		return v
 	}
 	e.stats.FaultQuarantinedDEs++
-	e.retireDE(t, addr, v)
+	e.retireDE(t, v)
 	return e.llc.Probe(addr)
 }
 
 // retireDE quarantines an LLC-housed directory entry into the block's
-// home-memory segment via the ordinary WB_DE flow (Fig. 14), then drops
-// the LLC housing. For a fused line the block's low bits are
-// unreconstructible without a busy-clear retrieval, so the data part is
-// dropped too; a live entry always tracks at least one private copy, so
-// no data is lost and the §III-D4 last-copy retrieval restores memory
-// when that copy eventually leaves.
-func (e *Engine) retireDE(t sim.Cycle, addr coher.Addr, v llc.View) {
-	ent := e.llc.Entry(v)
+// home-memory segment via the ordinary WB_DE flow (Fig. 14), evicting
+// its line. A fused line's block part leaves with it: its low bits are
+// unreconstructible without a busy-clear retrieval, and a live entry
+// always tracks at least one private copy, so no data is lost and the
+// §III-D4 last-copy retrieval restores memory when that copy eventually
+// leaves.
+func (e *Engine) retireDE(t sim.Cycle, v llc.View) {
+	ev := e.llc.Evict(v, v.DEWay)
 	e.record(coher.MsgWBDE)
-	e.home.WBDE(t, e.p.Socket, addr, ent)
-	fused := v.Fused
-	e.llc.DropDE(v)
-	if fused {
-		if v2 := e.llc.Probe(addr); v2.HasData() {
-			e.llc.InvalidateData(v2)
-		}
-	}
+	e.home.WBDE(t, e.p.Socket, ev.Addr, ev.Entry)
 }
 
 // ForceDEWriteback evicts the LLC-housed directory entry for addr into
@@ -102,7 +86,7 @@ func (e *Engine) ForceDEWriteback(t sim.Cycle, addr coher.Addr) bool {
 		return false
 	}
 	e.stats.FaultForcedWBDEs++
-	e.retireDE(t, addr, v)
+	e.retireDE(t, v)
 	return true
 }
 
@@ -192,14 +176,8 @@ func (e *Engine) ForceInclusionEviction(t sim.Cycle, addr coher.Addr) bool {
 	if !v.Fused {
 		return false
 	}
-	p := e.llc.Payload(v, v.DEWay)
-	ev := llc.Evicted{Addr: addr, Kind: llc.KindFused, Dirty: p.Dirty, Entry: e.llc.Entry(v)}
-	e.llc.DropDE(v)
-	if v2 := e.llc.Probe(addr); v2.HasData() {
-		e.llc.InvalidateData(v2)
-	}
 	e.stats.FaultInclusionEvs++
-	e.handleEvicted(t, ev)
+	e.handleEvicted(t, e.llc.Evict(v, v.DEWay))
 	return true
 }
 
@@ -219,30 +197,14 @@ func (e *Engine) ForceLLCEviction(t sim.Cycle, addr coher.Addr) bool {
 	}
 	e.stats.FaultForcedEvs++
 	if v.HasDE() {
-		p := e.llc.Payload(v, v.DEWay)
-		kind := llc.KindSpilled
-		if v.Fused {
-			kind = llc.KindFused
-		}
-		ev := llc.Evicted{Addr: addr, Kind: kind, Dirty: v.Fused && p.Dirty, Entry: e.llc.Entry(v)}
-		fused := v.Fused
-		e.llc.DropDE(v)
-		if fused {
-			// A fused line's data part is unreconstructible without the
-			// busy-clear low bits (zerodev) or rides out with the entry
-			// (inclusive in-tag tracking); either way it leaves with it.
-			if v2 := e.llc.Probe(addr); v2.HasData() {
-				e.llc.InvalidateData(v2)
-			}
-		}
-		e.handleEvicted(t, ev)
+		// A fused line's block part leaves with the entry: it is
+		// unreconstructible without the busy-clear low bits (zerodev) or
+		// rides out with the entry (inclusive in-tag tracking).
+		e.handleEvicted(t, e.llc.Evict(v, v.DEWay))
 		v = e.llc.Probe(addr)
 	}
 	if v.HasData() {
-		p := e.llc.Payload(v, v.DataWay)
-		ev := llc.Evicted{Addr: addr, Kind: llc.KindData, Dirty: p.Dirty}
-		e.llc.InvalidateData(v)
-		e.handleEvicted(t, ev)
+		e.handleEvicted(t, e.llc.Evict(v, v.DataWay))
 	}
 	return true
 }

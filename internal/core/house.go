@@ -101,13 +101,9 @@ func (e *Engine) displaceToLLC(t sim.Cycle, victims []directory.Victim) {
 // entry lives in the NRU directory, and a conflict evicts a live entry
 // whose tracked copies become DEVs.
 func (e *Engine) storeSparse(t sim.Cycle, addr coher.Addr, ent coher.Entry, v llc.View, haveView bool) (llc.View, bool) {
-	_, inPlace := e.dir.Lookup(addr)
 	victims, housed := e.dir.Store(addr, ent)
-	if !housed && inPlace {
-		panic("core: in-place directory update refused")
-	}
 	if !housed {
-		panic("core: baseline directory refused an allocation")
+		panic("core: the sparse directory refused an entry")
 	}
 	e.processDEVs(t, victims)
 	return v, haveView

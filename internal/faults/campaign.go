@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/harness"
-	"repro/internal/llc"
 	"repro/internal/sim"
 	"repro/internal/socket"
 	"repro/internal/stats"
@@ -24,8 +23,8 @@ import (
 // against one multithreaded application.
 type Campaign struct {
 	Name string
-	// Backend selects the protocol backend; the zero value is zerodev,
-	// whose cells additionally sweep the DE-caching policy axis.
+	// Backend names the protocol backend; zerodev cells additionally
+	// sweep the DE-caching policy axis.
 	Backend backend.ID
 	Policy  core.DEPolicy
 	Sockets int
@@ -35,18 +34,10 @@ type Campaign struct {
 // label renders the cell's policy column: the DE-caching policy for
 // zerodev cells, "-" for backends without a policy axis.
 func (c Campaign) label() string {
-	if c.Backend != "" && c.Backend != backend.ZeroDEV {
+	if c.Backend != backend.ZeroDEV {
 		return "-"
 	}
 	return c.Policy.String()
-}
-
-// backendName renders the cell's backend column.
-func (c Campaign) backendName() string {
-	if c.Backend == "" {
-		return string(backend.ZeroDEV)
-	}
-	return string(c.Backend)
 }
 
 // Campaigns lists the default sweep: every ZeroDEV DE-caching policy in
@@ -56,12 +47,12 @@ func (c Campaign) backendName() string {
 // seam a backend does not have is skipped rather than rolled inertly.
 func Campaigns() []Campaign {
 	return []Campaign{
-		{Name: "spillall-1s", Policy: core.SpillAll, Sockets: 1, App: "canneal"},
-		{Name: "fpss-1s", Policy: core.FPSS, Sockets: 1, App: "freqmine"},
-		{Name: "fuseall-1s", Policy: core.FuseAll, Sockets: 1, App: "vips"},
-		{Name: "spillall-4s", Policy: core.SpillAll, Sockets: 4, App: "lu_ncb"},
-		{Name: "fpss-4s", Policy: core.FPSS, Sockets: 4, App: "canneal"},
-		{Name: "fuseall-4s", Policy: core.FuseAll, Sockets: 4, App: "ocean_cp"},
+		{Name: "spillall-1s", Backend: backend.ZeroDEV, Policy: core.SpillAll, Sockets: 1, App: "canneal"},
+		{Name: "fpss-1s", Backend: backend.ZeroDEV, Policy: core.FPSS, Sockets: 1, App: "freqmine"},
+		{Name: "fuseall-1s", Backend: backend.ZeroDEV, Policy: core.FuseAll, Sockets: 1, App: "vips"},
+		{Name: "spillall-4s", Backend: backend.ZeroDEV, Policy: core.SpillAll, Sockets: 4, App: "lu_ncb"},
+		{Name: "fpss-4s", Backend: backend.ZeroDEV, Policy: core.FPSS, Sockets: 4, App: "canneal"},
+		{Name: "fuseall-4s", Backend: backend.ZeroDEV, Policy: core.FuseAll, Sockets: 4, App: "ocean_cp"},
 		{Name: "sparsemesi-1s", Backend: backend.SparseMESI, Sockets: 1, App: "canneal"},
 		{Name: "dls-1s", Backend: backend.DLS, Sockets: 1, App: "vips"},
 		{Name: "phasepriority-1s", Backend: backend.PhasePriority, Sockets: 1, App: "freqmine"},
@@ -103,11 +94,7 @@ func FilterByBackend(cells []Campaign, sel []backend.ID) []Campaign {
 	}
 	var out []Campaign
 	for _, c := range cells {
-		id := c.Backend
-		if id == "" {
-			id = backend.ZeroDEV
-		}
-		if want[id] {
+		if want[c.Backend] {
 			out = append(out, c)
 		}
 	}
@@ -188,7 +175,6 @@ type CellResult struct {
 
 	Counts                                  [NumKinds]uint64
 	FlipsDetected, FlipsMasked, FlipsSilent uint64
-	BrokenPutDEs                            uint64
 	BrokenInjections                        uint64
 	FirstBreakStep                          uint64
 
@@ -218,46 +204,31 @@ func RunCell(ctx context.Context, cfg Config, c Campaign, o harness.Options, idx
 	// Restrict the requested mix to the kinds this cell's backend can
 	// actually fire, so "all" stays meaningful per cell and no injector
 	// rolls inertly against a seam the backend does not have.
-	id := c.Backend
-	if id == "" {
-		id = backend.ZeroDEV
-	}
-	cfg.Enabled = Intersect(cfg.Enabled, id)
+	cfg.Enabled = Intersect(cfg.Enabled, c.Backend)
 	in := NewInjector(cfg, sim.NewRNG(o.Seed).Fork(0xFA+idx))
-	pre := config.TableI(o.Scale)
-	var spec core.SystemSpec
-	if b := c.Backend; b == "" || b == backend.ZeroDEV {
-		spec = pre.ZeroDEV(1.0/8, c.Policy, llc.DataLRU, llc.NonInclusive)
-	} else {
-		var err error
-		spec, err = pre.ForBackend(b, 1.0/8)
-		if err != nil {
-			return CellResult{Campaign: c}, err
-		}
+	spec, err := config.TableI(o.Scale).ForBackend(c.Backend, 1.0/8)
+	if err != nil {
+		return CellResult{Campaign: c}, err
 	}
+	spec.Policy = c.Policy
 	prof := workload.MustGet(c.App)
+	wrap := func(h core.Home) core.Home { return &chaosHome{Home: h, in: in} }
 
 	var (
 		tg      targets
-		agents  []sim.Clocked
 		check   func() error
 		collect func(sim.Cycle) stats.Run
 	)
 	if c.Sockets <= 1 {
-		spec.WrapHome = func(h core.Home) core.Home { return &chaosHome{Home: h, in: in} }
+		spec.WrapHome = wrap
 		sys := core.NewSystem(spec, workload.Threads(prof, spec.Cores, o.Accesses, o.Scale, o.Seed))
-		sys.Engine.SetFaultPort(in)
-		sys.Engine.SetFaultHooks(in)
 		tg.engines = []*core.Engine{sys.Engine}
 		tg.cores = [][]*cpu.Core{sys.Cores}
-		for _, cc := range sys.Cores {
-			agents = append(agents, cc)
-		}
 		check = sys.Engine.CheckInvariants
 		collect = func(last sim.Cycle) stats.Run { return stats.Collect(c.Name, sys, last) }
 	} else {
 		p := socket.DefaultParams(c.Sockets, 65536/o.Scale*8)
-		p.WrapHome = func(_ int, h core.Home) core.Home { return &chaosHome{Home: h, in: in} }
+		p.WrapHome = func(_ int, h core.Home) core.Home { return wrap(h) }
 		p.Faults = in
 		streams := workload.Threads(prof, c.Sockets*spec.Cores, o.Accesses, o.Scale, o.Seed)
 		sys, err := socket.New(p, spec, streams)
@@ -265,16 +236,18 @@ func RunCell(ctx context.Context, cfg Config, c Campaign, o harness.Options, idx
 			return CellResult{Campaign: c}, err
 		}
 		for _, s := range sys.Sockets {
-			s.Engine.SetFaultPort(in)
-			s.Engine.SetFaultHooks(in)
 			tg.engines = append(tg.engines, s.Engine)
 			tg.cores = append(tg.cores, s.Cores)
-			for _, cc := range s.Cores {
-				agents = append(agents, cc)
-			}
 		}
 		check = sys.CheckInvariants
 		collect = func(last sim.Cycle) stats.Run { return stats.CollectSockets(c.Name, sys, last) }
+	}
+	var agents []sim.Clocked
+	for i, eng := range tg.engines {
+		eng.SetFaults(in)
+		for _, cc := range tg.cores[i] {
+			agents = append(agents, cc)
+		}
 	}
 
 	in.tg = &tg
@@ -299,7 +272,7 @@ func RunCell(ctx context.Context, cfg Config, c Campaign, o harness.Options, idx
 		return err
 	}
 	hook := func(step uint64, now sim.Cycle) error {
-		in.perturb(now, &tg)
+		in.perturb(now)
 		if crashAt != 0 && step == crashAt {
 			panic(fmt.Sprintf("faults: deliberate crash injected in cell %q at step %d", c.Name, step))
 		}
@@ -322,8 +295,7 @@ func RunCell(ctx context.Context, cfg Config, c Campaign, o harness.Options, idx
 	res.Cycles = uint64(last)
 	res.Counts = in.Counts()
 	res.FlipsDetected, res.FlipsMasked, res.FlipsSilent = in.FlipsDetected, in.FlipsMasked, in.FlipsSilent
-	res.BrokenPutDEs, res.FirstBreakStep = in.BrokenPutDEs, in.FirstBreakStep
-	res.BrokenInjections = in.BrokenInjections
+	res.BrokenInjections, res.FirstBreakStep = in.BrokenInjections, in.FirstBreakStep
 	res.Engine = collect(last).Engine
 	if res.Violation != nil {
 		res.Violation.Summary = engineSummary(res.Engine)
@@ -373,7 +345,7 @@ func runCampaigns(cfg Config, cells []Campaign, o harness.Options, w io.Writer) 
 			crashed++
 			errs = append(errs, err)
 			cell := harness.CellText(err)
-			t.AddRow(c.Name, c.backendName(), c.label(), fmt.Sprint(c.Sockets), c.App,
+			t.AddRow(c.Name, string(c.Backend), c.label(), fmt.Sprint(c.Sockets), c.App,
 				cell, cell, cell, cell, cell, cell, cell, cell, cell, cell)
 			continue
 		}
@@ -388,7 +360,7 @@ func runCampaigns(cfg Config, cells []Campaign, o harness.Options, w io.Writer) 
 				c.Name, r.Violation.Step, r.Violation.Err))
 		}
 		cnt := r.Counts
-		t.AddRow(c.Name, c.backendName(), c.label(), fmt.Sprint(c.Sockets), c.App,
+		t.AddRow(c.Name, string(c.Backend), c.label(), fmt.Sprint(c.Sockets), c.App,
 			fmt.Sprint(r.Steps), fmt.Sprint(r.Audits),
 			fmt.Sprintf("%d/%d/%d", r.FlipsDetected, r.FlipsMasked, r.FlipsSilent),
 			fmt.Sprintf("%d/%d", cnt[WBDEDrop], cnt[WBDEDup]),
@@ -413,33 +385,20 @@ func runCampaigns(cfg Config, cells []Campaign, o harness.Options, w io.Writer) 
 func WriteList(w io.Writer) {
 	fmt.Fprintln(w, "Fault injectors (-faults, comma-separated or \"all\"):")
 	for _, k := range AllKinds() {
-		fmt.Fprintf(w, "  %-10s rate %-5.2g %s\n", k, k.Rate(), kindDescs[k])
+		fmt.Fprintf(w, "  %-10s rate %-5.2g %s\n", k, k.Rate(), kinds[k].desc)
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Campaign cells (-campaigns, comma-separated or \"all\"; -backend filters):")
 	for _, c := range Campaigns() {
 		fmt.Fprintf(w, "  %-21s %-13s %-9s x%d socket(s), %s\n",
-			c.Name, c.backendName(), c.label(), c.Sockets, c.App)
+			c.Name, c.Backend, c.label(), c.Sockets, c.App)
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Chaos-soak cells (-campaigns soak; every backend x fault mix x sockets):")
 	for _, c := range SoakCampaigns() {
 		fmt.Fprintf(w, "  %-21s %-13s %-9s x%d socket(s), %s\n",
-			c.Name, c.backendName(), c.label(), c.Sockets, c.App)
+			c.Name, c.Backend, c.label(), c.Sockets, c.App)
 	}
 	fmt.Fprintln(w)
 	backend.WriteList(w)
-}
-
-var kindDescs = [NumKinds]string{
-	DEFlip:        "flip one bit of a housed DE encoding at LLC read time",
-	WBDEDrop:      "lose a WB_DE message (delivered late by retransmission)",
-	WBDEDup:       "deliver a WB_DE message twice (idempotent merge)",
-	DENFDrop:      "lose a DENF_NACK (forward retransmitted)",
-	EvictStorm:    "force a burst of DE evictions to home memory",
-	SpuriousInval: "invalidate every copy of a random private block",
-	NACKStorm:     "stretch or collapse a conflicted phase-priority admission",
-	InclVictim:    "force inclusion evictions of in-tag tracked LLC lines",
-	DirVictim:     "force a sparse-directory victim through the DEV flow",
-	EvictPressure: "victimize LLC lines through the backend's displacement flow",
 }

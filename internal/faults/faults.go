@@ -22,7 +22,7 @@
 //
 //   - NACK storms and dropped-retry-budget perturbations at the
 //     phase-priority admission ladder (arXiv 1305.3038), via the
-//     core.FaultHooks admission boundary;
+//     core.Faults admission boundary;
 //   - forced inclusion-victim storms and in-tag sharer corruption for
 //     DLS, whose coherence state rides the LLC tags (arXiv 1206.4753);
 //   - sparse-directory victim-entry injection and NRU-state scrambling
@@ -74,7 +74,7 @@ const (
 	// block, exercising the socket-eviction notice and last-copy flows.
 	SpuriousInval
 	// NACKStorm perturbs a conflicted phase-priority admission at the
-	// core.FaultHooks admission boundary: either the requester is NACKed for
+	// core.Faults admission boundary: either the requester is NACKed for
 	// extra retry rounds beyond the protocol's budget (a storm), or the
 	// retry messages are lost and the ladder's latency charge collapses
 	// (a dropped retry budget). Latency-only; coherence state is
@@ -98,28 +98,48 @@ const (
 	NumKinds int = iota
 )
 
-var kindNames = [NumKinds]string{
-	"deflip", "wbde-drop", "wbde-dup", "denf-drop", "storm", "spurious",
-	"nack-storm", "incl-victim", "dir-victim", "evict-pressure",
-}
-
-// defaultRates are per-opportunity injection probabilities: deflip per
-// housed-DE touch, wbde-* per WB_DE message, denf-drop per NACK,
-// nack-storm per conflicted admission, and the rest per scheduler step.
-var defaultRates = [NumKinds]float64{
-	0.02, 0.25, 0.25, 0.5, 0.01, 0.02,
-	0.2, 0.02, 0.02, 0.02,
+// kinds declares every injector kind once: its name (the -faults and
+// backend.Info.Faults spelling), its default per-opportunity injection
+// probability and its -list description. Rates are per housed-DE touch
+// for deflip, per WB_DE message for wbde-*, per NACK for denf-drop, per
+// conflicted admission for nack-storm, and per scheduler step for the
+// rest.
+var kinds = [NumKinds]struct {
+	name string
+	rate float64
+	desc string
+}{
+	DEFlip:        {"deflip", 0.02, "flip one bit of a housed DE encoding at LLC read time"},
+	WBDEDrop:      {"wbde-drop", 0.25, "lose a WB_DE message (delivered late by retransmission)"},
+	WBDEDup:       {"wbde-dup", 0.25, "deliver a WB_DE message twice (idempotent merge)"},
+	DENFDrop:      {"denf-drop", 0.5, "lose a DENF_NACK (forward retransmitted)"},
+	EvictStorm:    {"storm", 0.01, "force a burst of DE evictions to home memory"},
+	SpuriousInval: {"spurious", 0.02, "invalidate every copy of a random private block"},
+	NACKStorm:     {"nack-storm", 0.2, "stretch or collapse a conflicted phase-priority admission"},
+	InclVictim:    {"incl-victim", 0.02, "force inclusion evictions of in-tag tracked LLC lines"},
+	DirVictim:     {"dir-victim", 0.02, "force a sparse-directory victim through the DEV flow"},
+	EvictPressure: {"evict-pressure", 0.02, "victimize LLC lines through the backend's displacement flow"},
 }
 
 func (k Kind) String() string {
 	if k < 0 || int(k) >= NumKinds {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
-	return kindNames[k]
+	return kinds[k].name
 }
 
 // Rate returns the kind's default per-opportunity probability.
-func (k Kind) Rate() float64 { return defaultRates[k] }
+func (k Kind) Rate() float64 { return kinds[k].rate }
+
+// kindNamed returns the kind spelled n.
+func kindNamed(n string) (Kind, bool) {
+	for k := range kinds {
+		if kinds[k].name == n {
+			return Kind(k), true
+		}
+	}
+	return 0, false
+}
 
 // AllKinds lists every injector kind.
 func AllKinds() []Kind {
@@ -145,18 +165,16 @@ func ParseKinds(s string) ([NumKinds]bool, error) {
 		if f == "" {
 			continue
 		}
-		found := false
-		for i, n := range kindNames {
-			if f == n {
-				mask[i] = true
-				found = true
-				break
+		k, ok := kindNamed(f)
+		if !ok {
+			known := make([]string, NumKinds)
+			for i := range kinds {
+				known[i] = kinds[i].name
 			}
-		}
-		if !found {
 			return mask, fmt.Errorf("faults: unknown injector %q (known: %s, or \"all\")",
-				f, strings.Join(kindNames[:], ", "))
+				f, strings.Join(known, ", "))
 		}
+		mask[k] = true
 	}
 	return mask, nil
 }
@@ -172,11 +190,8 @@ var ErrInapplicableKind = errors.New("faults: injector not applicable to selecte
 func Applicable(id backend.ID) [NumKinds]bool {
 	var mask [NumKinds]bool
 	for _, n := range backend.MustGet(id).Faults {
-		for i, kn := range kindNames {
-			if n == kn {
-				mask[i] = true
-				break
-			}
+		if k, ok := kindNamed(n); ok {
+			mask[k] = true
 		}
 	}
 	return mask
@@ -203,7 +218,7 @@ func ValidateKinds(enabled [NumKinds]bool, ids []backend.ID) error {
 	var dead []string
 	for i, on := range enabled {
 		if on && !union[i] {
-			dead = append(dead, kindNames[i])
+			dead = append(dead, Kind(i).String())
 		}
 	}
 	if len(dead) == 0 {
@@ -241,19 +256,15 @@ type Config struct {
 	// CrashCell, when it names a campaign cell, panics that cell
 	// mid-run — the harness's crash-resilience test hook.
 	CrashCell string
-	// BreakRecovery deliberately breaks one recovery path (live PutDE
-	// messages are silently dropped) so tests can prove the auditor
-	// catches a buggy protocol within one audit interval.
-	BreakRecovery bool
-	// BreakKind names one of the backend-aware injector kinds
-	// ("nack-storm", "incl-victim", "dir-victim", "evict-pressure")
-	// whose known-bad variant is armed: instead of routing the
-	// perturbation through the protocol's recovery flow, the injector
-	// deliberately corrupts state the way a buggy recovery would
-	// (orphaned directory entries, in-place in-tag corruption, dropped
-	// WB_DE on displacement). Self-tests run it with AuditEvery=1 to
-	// prove the online auditor catches each defect within one interval;
-	// it is not reachable from the CLI.
+	// BreakKind names the injector kind whose known-bad variant is
+	// armed ("wbde-drop", "nack-storm", "incl-victim", "dir-victim" or
+	// "evict-pressure"): instead of routing the perturbation through the
+	// protocol's recovery flow, the injector deliberately corrupts state
+	// the way a buggy recovery would (a live PutDE dropped, orphaned
+	// directory entries, in-place in-tag corruption, dropped WB_DE on
+	// displacement). Self-tests run it with AuditEvery=1 to prove the
+	// online auditor catches each defect within one interval; it is not
+	// reachable from the CLI.
 	BreakKind string
 }
 
@@ -265,7 +276,7 @@ func (c Config) CheckpointTag() string {
 	var on []string
 	for k, en := range c.Enabled {
 		if en {
-			on = append(on, kindNames[k])
+			on = append(on, Kind(k).String())
 		}
 	}
 	return fmt.Sprintf("kinds=%s audit-every=%d rate-scale=%g", strings.Join(on, ","), c.AuditEvery, c.RateScale)
@@ -278,7 +289,7 @@ func (c Config) CheckpointTag() string {
 // (fires at every opportunity) rather than erroring; negative scales
 // are rejected at flag-parse time and clamp to 0 here.
 func (c Config) EffectiveRate(k Kind) float64 {
-	r := defaultRates[k] * c.RateScale
+	r := k.Rate() * c.RateScale
 	if r < 0 {
 		return 0
 	}
@@ -320,11 +331,11 @@ type targets struct {
 }
 
 // Injector drives every fault kind for one campaign cell. It implements
-// core.FaultPort (DE bit-flips), core.FaultHooks (admission
-// perturbation) and socket.ForwardFaults (NACK drops); chaosHome routes
-// WB_DE/PutDE messages through it; perturb injects the step-granular
-// kinds. All methods run on the cell's single simulation goroutine, so
-// no locking is needed.
+// core.Faults (DE bit-flips and admission perturbation) and
+// socket.ForwardFaults (NACK drops); chaosHome routes WB_DE/PutDE
+// messages through it; perturb injects the step-granular kinds. All
+// methods run on the cell's single simulation goroutine, so no locking
+// is needed.
 type Injector struct {
 	rng *sim.RNG
 	cfg Config
@@ -337,14 +348,13 @@ type Injector struct {
 	FlipsMasked   uint64 // flip hit an unused bit: entry unchanged
 	FlipsSilent   uint64 // entry silently changed; caught by ECC, quarantined
 
-	// BreakRecovery / BreakKind bookkeeping.
-	BrokenPutDEs     uint64
+	// BreakKind bookkeeping.
 	BrokenInjections uint64
 	FirstBreakStep   uint64
 
 	log   []Event
 	addrs []coher.Addr // scratch for perturb target collection
-	tg    *targets     // set by RunCell; lets hook-driven breaks reach the engines
+	tg    *targets     // set by RunCell: what perturb and the admission break reach
 }
 
 // NewInjector builds an injector drawing from rng.
@@ -368,16 +378,23 @@ func (in *Injector) roll(k Kind) bool {
 
 // breaking reports whether k's known-bad variant is armed.
 func (in *Injector) breaking(k Kind) bool {
-	return in.cfg.BreakKind == kindNames[k]
+	return in.cfg.BreakKind == kinds[k].name
 }
 
-// markBroken records a deliberate state corruption for the self-tests.
-func (in *Injector) markBroken(k Kind, addr coher.Addr, what string) {
+// markBroken records a deliberate state corruption made at step for the
+// self-tests.
+func (in *Injector) markBroken(k Kind, step uint64, addr coher.Addr, what string) {
 	in.BrokenInjections++
 	if in.FirstBreakStep == 0 {
-		in.FirstBreakStep = in.step
+		in.FirstBreakStep = step
 	}
 	in.note(k, addr, "BROKEN RECOVERY: "+what)
+}
+
+// fired counts one injection of kind k and logs it.
+func (in *Injector) fired(k Kind, addr coher.Addr, note string) {
+	in.counts[k]++
+	in.note(k, addr, note)
 }
 
 func (in *Injector) note(k Kind, addr coher.Addr, note string) {
@@ -388,7 +405,7 @@ func (in *Injector) note(k Kind, addr coher.Addr, note string) {
 	in.log = append(in.log, Event{Step: in.step, Kind: k, Addr: addr, Note: note})
 }
 
-// CorruptHousedDE implements core.FaultPort: it flips one random bit of
+// CorruptHousedDE implements core.Faults: it flips one random bit of
 // the entry's spilled encoding (the shared entry serialization of
 // Figs. 9a/11a) and classifies the outcome. Returning true tells the
 // engine ECC caught a changed entry, which quarantines it to home
@@ -409,16 +426,15 @@ func (in *Injector) CorruptHousedDE(addr coher.Addr, ent coher.Entry, fused bool
 	switch {
 	case err != nil:
 		in.FlipsDetected++
-		in.note(DEFlip, addr, fmt.Sprintf("%s DE bit %d: format violation detected, quarantined", form, bit))
+		in.fired(DEFlip, addr, fmt.Sprintf("%s DE bit %d: format violation detected, quarantined", form, bit))
 	case dec.Same(ent):
 		in.FlipsMasked++
 		in.note(DEFlip, addr, fmt.Sprintf("%s DE bit %d: masked (unused bit)", form, bit))
 		return false
 	default:
 		in.FlipsSilent++
-		in.note(DEFlip, addr, fmt.Sprintf("%s DE bit %d: silent change caught by ECC, quarantined", form, bit))
+		in.fired(DEFlip, addr, fmt.Sprintf("%s DE bit %d: silent change caught by ECC, quarantined", form, bit))
 	}
-	in.counts[DEFlip]++
 	return true
 }
 
@@ -428,12 +444,11 @@ func (in *Injector) DropDENFNack(f int, addr coher.Addr) bool {
 	if !in.roll(DENFDrop) {
 		return false
 	}
-	in.counts[DENFDrop]++
-	in.note(DENFDrop, addr, fmt.Sprintf("DENF_NACK from socket %d lost; forward retransmitted", f))
+	in.fired(DENFDrop, addr, fmt.Sprintf("DENF_NACK from socket %d lost; forward retransmitted", f))
 	return true
 }
 
-// AdmitFault implements core.FaultHooks. The engine consults it after
+// AdmitFault implements core.Faults. The engine consults it after
 // pricing a phase-priority request's admission; charge > 0
 // means the admission conflicted (phase-priority's NACK/retry ladder
 // fired), which is the NACKStorm opportunity: half the injections
@@ -453,7 +468,7 @@ func (in *Injector) AdmitFault(t sim.Cycle, addr coher.Addr, charge sim.Cycle) s
 			eng := in.tg.engines[0]
 			if a, ok := firstTrackedAddr(eng, in.tg.cores[0]); ok {
 				eng.Directory().Free(a)
-				in.markBroken(NACKStorm, a, "conflicted admission freed a live entry without invalidations")
+				in.markBroken(NACKStorm, in.step, a, "conflicted admission freed a live entry without invalidations")
 			}
 		}
 		return charge
@@ -461,13 +476,12 @@ func (in *Injector) AdmitFault(t sim.Cycle, addr coher.Addr, charge sim.Cycle) s
 	if !in.roll(NACKStorm) {
 		return charge
 	}
-	in.counts[NACKStorm]++
 	if in.rng.Bool(0.5) {
 		rounds := sim.Cycle(1 + in.rng.Intn(4))
-		in.note(NACKStorm, addr, fmt.Sprintf("NACK storm: +%d extra retry rounds", rounds))
+		in.fired(NACKStorm, addr, fmt.Sprintf("NACK storm: +%d extra retry rounds", rounds))
 		return charge * (1 + rounds)
 	}
-	in.note(NACKStorm, addr, "retry budget dropped: admission charge collapsed")
+	in.fired(NACKStorm, addr, "retry budget dropped: admission charge collapsed")
 	return 0
 }
 
@@ -492,88 +506,50 @@ func firstTrackedAddr(eng *core.Engine, cores []*cpu.Core) (coher.Addr, bool) {
 }
 
 // perturb runs once per scheduler step, between transactions, and fires
-// the step-granular injectors against tg.
-func (in *Injector) perturb(now sim.Cycle, tg *targets) {
+// the step-granular injectors against in.tg.
+func (in *Injector) perturb(now sim.Cycle) {
 	in.step++
+	tg := in.tg
 	if in.roll(EvictStorm) {
 		eng := tg.engines[in.rng.Intn(len(tg.engines))]
-		in.addrs = in.addrs[:0]
-		eng.LLC().ForEachDE(func(a coher.Addr, _ bool, _ coher.Entry) {
-			in.addrs = append(in.addrs, a)
-		})
-		if len(in.addrs) > 0 {
-			forced := 0
-			for i := 0; i < in.cfg.StormSize; i++ {
-				a := in.addrs[in.rng.Intn(len(in.addrs))]
-				if eng.ForceDEWriteback(now, a) {
-					forced++
-				}
-			}
+		if in.collect(EvictStorm, eng, nil) {
 			// A storm that forced nothing (a backend with no WB_DE flow)
 			// did not inject a fault and must not count as one.
-			if forced > 0 {
-				in.counts[EvictStorm]++
-				in.note(EvictStorm, in.addrs[0], fmt.Sprintf("eviction storm forced %d WB_DE", forced))
+			if n, _ := in.storm(func(a coher.Addr) bool { return eng.ForceDEWriteback(now, a) }); n > 0 {
+				in.fired(EvictStorm, in.addrs[0], fmt.Sprintf("eviction storm forced %d WB_DE", n))
 			}
 		}
 	}
 	if in.roll(SpuriousInval) {
 		ei := in.rng.Intn(len(tg.engines))
 		cores := tg.cores[ei]
-		c := cores[in.rng.Intn(len(cores))]
-		in.addrs = in.addrs[:0]
-		c.ForEachBlock(func(a coher.Addr, _ coher.PrivState) {
-			in.addrs = append(in.addrs, a)
-		})
-		if len(in.addrs) > 0 {
-			a := in.addrs[in.rng.Intn(len(in.addrs))]
-			if tg.engines[ei].InjectInvalidation(now, a) {
-				in.counts[SpuriousInval]++
-				in.note(SpuriousInval, a, "spurious invalidation of all copies")
+		if in.collect(SpuriousInval, nil, cores[in.rng.Intn(len(cores))]) {
+			if a := in.draw(); tg.engines[ei].InjectInvalidation(now, a) {
+				in.fired(SpuriousInval, a, "spurious invalidation of all copies")
 			}
 		}
 	}
 	if in.roll(InclVictim) {
 		eng := tg.engines[in.rng.Intn(len(tg.engines))]
-		in.addrs = in.addrs[:0]
-		eng.LLC().ForEachDE(func(a coher.Addr, fused bool, _ coher.Entry) {
-			if fused {
-				in.addrs = append(in.addrs, a)
-			}
-		})
-		if len(in.addrs) > 0 {
-			if in.breaking(InclVictim) {
-				a := in.addrs[in.rng.Intn(len(in.addrs))]
+		if in.collect(InclVictim, eng, nil) {
+			switch {
+			case in.breaking(InclVictim):
 				// Known-bad variant: the "ECC recovery" rewrites the in-tag
 				// entry with a corrupted holder set instead of conservatively
 				// evicting the line.
-				if in.corruptInTagEntry(eng, a) {
-					in.markBroken(InclVictim, a, "in-tag entry rewritten with corrupted holder set")
+				if a := in.draw(); corruptInTagEntry(eng, a) {
+					in.markBroken(InclVictim, in.step, a, "in-tag entry rewritten with corrupted holder set")
 				}
-			} else if in.rng.Bool(0.5) {
+			case in.rng.Bool(0.5):
 				// In-tag sharer corruption caught by ECC: the line's tracking
 				// can no longer be trusted, so the conservative recovery is an
 				// inclusion eviction of that single line.
-				a := in.addrs[in.rng.Intn(len(in.addrs))]
-				if eng.ForceInclusionEviction(now, a) {
-					in.counts[InclVictim]++
-					in.note(InclVictim, a, "in-tag corruption caught by ECC; line inclusion-evicted")
+				if a := in.draw(); eng.ForceInclusionEviction(now, a) {
+					in.fired(InclVictim, a, "in-tag corruption caught by ECC; line inclusion-evicted")
 				}
-			} else {
-				forced := 0
-				var first coher.Addr
-				for i := 0; i < in.cfg.StormSize; i++ {
-					a := in.addrs[in.rng.Intn(len(in.addrs))]
-					if eng.ForceInclusionEviction(now, a) {
-						if forced == 0 {
-							first = a
-						}
-						forced++
-					}
-				}
-				if forced > 0 {
-					in.counts[InclVictim]++
-					in.note(InclVictim, first, fmt.Sprintf("inclusion-victim storm evicted %d tracked lines", forced))
+			default:
+				if n, first := in.storm(func(a coher.Addr) bool { return eng.ForceInclusionEviction(now, a) }); n > 0 {
+					in.fired(InclVictim, first, fmt.Sprintf("inclusion-victim storm evicted %d tracked lines", n))
 				}
 			}
 		}
@@ -587,58 +563,75 @@ func (in *Injector) perturb(now sim.Cycle, tg *targets) {
 				// Known-bad variant: the victim's entry is freed without the
 				// DEV invalidations, orphaning every tracked private copy.
 				eng.Directory().Free(a)
-				in.markBroken(DirVictim, a, "victim entry freed without DEV invalidations")
+				in.markBroken(DirVictim, in.step, a, "victim entry freed without DEV invalidations")
 			case in.rng.Bool(0.25):
 				// NRU-state scramble: replacement metadata only, so organic
 				// victim selection diverges while coherence state holds.
 				if eng.ScrambleDirectoryNRU(a) {
-					in.counts[DirVictim]++
-					in.note(DirVictim, a, "directory NRU state scrambled")
+					in.fired(DirVictim, a, "directory NRU state scrambled")
 				}
 			default:
 				if eng.ForceDirectoryVictim(now, a) {
-					in.counts[DirVictim]++
-					in.note(DirVictim, a, "directory victim forced through the DEV flow")
+					in.fired(DirVictim, a, "directory victim forced through the DEV flow")
 				}
 			}
 		}
 	}
 	if in.roll(EvictPressure) {
 		eng := tg.engines[in.rng.Intn(len(tg.engines))]
-		in.addrs = in.addrs[:0]
-		eng.LLC().ForEachDE(func(a coher.Addr, _ bool, _ coher.Entry) {
-			in.addrs = append(in.addrs, a)
-		})
-		eng.LLC().ForEachData(func(a coher.Addr, _ bool) {
-			in.addrs = append(in.addrs, a)
-		})
-		if len(in.addrs) > 0 {
+		if in.collect(EvictPressure, eng, nil) {
 			if in.breaking(EvictPressure) {
 				// Known-bad variant: displacement drops a housed live entry on
 				// the floor — no WB_DE, no invalidations.
-				a := in.addrs[in.rng.Intn(len(in.addrs))]
-				if in.dropHousedDE(eng, a) {
-					in.markBroken(EvictPressure, a, "housed entry dropped on displacement without WB_DE")
+				a := in.draw()
+				if v := eng.LLC().Probe(a); v.HasDE() {
+					eng.LLC().Evict(v, v.DEWay)
+					in.markBroken(EvictPressure, in.step, a, "housed entry dropped on displacement without WB_DE")
 				}
-				return
-			}
-			forced := 0
-			var first coher.Addr
-			for i := 0; i < in.cfg.StormSize; i++ {
-				a := in.addrs[in.rng.Intn(len(in.addrs))]
-				if eng.ForceLLCEviction(now, a) {
-					if forced == 0 {
-						first = a
-					}
-					forced++
-				}
-			}
-			if forced > 0 {
-				in.counts[EvictPressure]++
-				in.note(EvictPressure, first, fmt.Sprintf("eviction pressure victimized %d LLC lines", forced))
+			} else if n, first := in.storm(func(a coher.Addr) bool { return eng.ForceLLCEviction(now, a) }); n > 0 {
+				in.fired(EvictPressure, first, fmt.Sprintf("eviction pressure victimized %d LLC lines", n))
 			}
 		}
 	}
+}
+
+// collect refills in.addrs with the targets kind k draws from and
+// reports whether there are any: the blocks core c holds for
+// SpuriousInval; for the other kinds, eng's housed directory entries
+// (only the fused ones for InclVictim), followed for EvictPressure by its
+// data lines.
+func (in *Injector) collect(k Kind, eng *core.Engine, c *cpu.Core) bool {
+	in.addrs = in.addrs[:0]
+	if k == SpuriousInval {
+		c.ForEachBlock(func(a coher.Addr, _ coher.PrivState) { in.addrs = append(in.addrs, a) })
+		return len(in.addrs) > 0
+	}
+	eng.LLC().ForEachDE(func(a coher.Addr, fused bool, _ coher.Entry) {
+		if fused || k != InclVictim {
+			in.addrs = append(in.addrs, a)
+		}
+	})
+	if k == EvictPressure {
+		eng.LLC().ForEachData(func(a coher.Addr, _ bool) { in.addrs = append(in.addrs, a) })
+	}
+	return len(in.addrs) > 0
+}
+
+// draw picks one collected target.
+func (in *Injector) draw() coher.Addr { return in.addrs[in.rng.Intn(len(in.addrs))] }
+
+// storm forces StormSize drawn targets through force and returns how
+// many it accepted and the first accepted.
+func (in *Injector) storm(force func(coher.Addr) bool) (n int, first coher.Addr) {
+	for i := 0; i < in.cfg.StormSize; i++ {
+		if a := in.draw(); force(a) {
+			if n == 0 {
+				first = a
+			}
+			n++
+		}
+	}
+	return n, first
 }
 
 // corruptInTagEntry rewrites the fused (in-tag) entry for addr with a
@@ -646,7 +639,7 @@ func (in *Injector) perturb(now sim.Cycle, tg *targets) {
 // the next core, a shared entry gains the first non-member core (or
 // loses its first member when every core already shares). Used only by
 // the InclVictim known-bad variant.
-func (in *Injector) corruptInTagEntry(eng *core.Engine, addr coher.Addr) bool {
+func corruptInTagEntry(eng *core.Engine, addr coher.Addr) bool {
 	v := eng.LLC().Probe(addr)
 	if !v.Fused {
 		return false
@@ -675,24 +668,6 @@ func (in *Injector) corruptInTagEntry(eng *core.Engine, addr coher.Addr) bool {
 	return true
 }
 
-// dropHousedDE silently discards addr's LLC-housed entry — the
-// EvictPressure known-bad variant's buggy displacement. Reports whether
-// an entry was dropped.
-func (in *Injector) dropHousedDE(eng *core.Engine, addr coher.Addr) bool {
-	v := eng.LLC().Probe(addr)
-	if !v.HasDE() {
-		return false
-	}
-	fused := v.Fused
-	eng.LLC().DropDE(v)
-	if fused {
-		if v2 := eng.LLC().Probe(addr); v2.HasData() {
-			eng.LLC().InvalidateData(v2)
-		}
-	}
-	return true
-}
-
 // retryCycles models the retransmission timeout for lost or duplicated
 // home-memory messages.
 const retryCycles = 200
@@ -710,12 +685,10 @@ type chaosHome struct {
 func (h *chaosHome) WBDE(t sim.Cycle, socket int, addr coher.Addr, e coher.Entry) {
 	switch {
 	case h.in.roll(WBDEDrop):
-		h.in.counts[WBDEDrop]++
-		h.in.note(WBDEDrop, addr, "WB_DE lost; retransmitted after timeout")
+		h.in.fired(WBDEDrop, addr, "WB_DE lost; retransmitted after timeout")
 		h.Home.WBDE(t+retryCycles, socket, addr, e)
 	case h.in.roll(WBDEDup):
-		h.in.counts[WBDEDup]++
-		h.in.note(WBDEDup, addr, "WB_DE duplicated; second delivery merged idempotently")
+		h.in.fired(WBDEDup, addr, "WB_DE duplicated; second delivery merged idempotently")
 		h.Home.WBDE(t, socket, addr, e)
 		h.Home.WBDE(t+retryCycles, socket, addr, e)
 	default:
@@ -723,29 +696,27 @@ func (h *chaosHome) WBDE(t sim.Cycle, socket int, addr coher.Addr, e coher.Entry
 	}
 }
 
-// PutDE is where BreakRecovery bites: live recovered entries are
-// silently discarded instead of written to their segment, leaving home
-// memory claiming holders that no longer exist. The online auditor must
-// flag this within one audit interval.
+// PutDE is where wbde-drop's known-bad variant bites: live recovered
+// entries are silently discarded instead of written to their segment,
+// leaving home memory claiming holders that no longer exist. The online
+// auditor must flag this within one audit interval.
 func (h *chaosHome) PutDE(t sim.Cycle, socket int, addr coher.Addr, e coher.Entry) {
-	if h.in.cfg.BreakRecovery && e.Live() {
-		h.in.BrokenPutDEs++
-		if h.in.FirstBreakStep == 0 {
-			h.in.FirstBreakStep = h.in.step + 1 // the step currently executing
-		}
-		h.in.note(SpuriousInval, addr, "BROKEN RECOVERY: live PutDE dropped")
+	if h.in.breaking(WBDEDrop) && e.Live() {
+		// Dated to the step currently executing: the drop happens inside
+		// a transaction, before perturb counts the step.
+		h.in.markBroken(WBDEDrop, h.in.step+1, addr, "live PutDE dropped")
 		return
 	}
 	h.Home.PutDE(t, socket, addr, e)
 }
 
-// BrokenRecoveryHome decorates a home agent with the BreakRecovery
-// defect and nothing else: live PutDE messages (recovered entries being
+// BrokenRecoveryHome decorates a home agent with wbde-drop's known-bad
+// variant and nothing else: live PutDE messages (recovered entries being
 // written back to their home segment) are silently dropped, while every
 // stochastic injector stays disabled. The model checker uses it as a
 // known-bad protocol variant that must produce a counterexample —
 // validating that the explorer's invariants can actually fail.
 func BrokenRecoveryHome(h core.Home) core.Home {
-	in := NewInjector(Config{BreakRecovery: true}, sim.NewRNG(0))
+	in := NewInjector(Config{BreakKind: WBDEDrop.String()}, sim.NewRNG(0))
 	return &chaosHome{Home: h, in: in}
 }

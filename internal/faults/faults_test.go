@@ -84,19 +84,19 @@ func TestCampaignOutputDeterministic(t *testing.T) {
 // first break.
 func TestBrokenRecoveryCaughtWithinOneInterval(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.BreakRecovery = true
+	cfg.BreakKind = "wbde-drop"
 	cfg.AuditEvery = 1
 	cfg.RateScale = 2
 	res, err := RunCell(context.Background(), cfg, Campaigns()[0], tinyOptions(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BrokenPutDEs == 0 {
+	if res.BrokenInjections == 0 {
 		t.Fatal("the broken recovery path never triggered; the self-test exercised nothing")
 	}
 	if res.Violation == nil {
 		t.Fatalf("auditor missed the broken recovery path (%d live PutDEs dropped, first at step %d)",
-			res.BrokenPutDEs, res.FirstBreakStep)
+			res.BrokenInjections, res.FirstBreakStep)
 	}
 	v := res.Violation
 	if v.Step < res.FirstBreakStep || v.Step-res.FirstBreakStep > uint64(cfg.AuditEvery) {

@@ -190,9 +190,9 @@ func (v View) HasData() bool { return v.DataWay >= 0 }
 // HasDE reports whether a housed directory entry is present.
 func (v View) HasDE() bool { return v.DEWay >= 0 }
 
-// Evicted describes a line displaced by an allocation; the protocol
-// engine converts it into a writeback (dirty data) or a WB_DE flow
-// (spilled/fused entries).
+// Evicted describes a line displaced by an allocation or removed by
+// Evict; the protocol engine converts it into a writeback (dirty data)
+// or a WB_DE flow (spilled/fused entries).
 type Evicted struct {
 	Addr  coher.Addr
 	Kind  LineKind
@@ -207,10 +207,8 @@ type LLC struct {
 	mode  Mode
 	repl  Repl
 
-	// Bank interleave fast path: unlike set counts, bank counts are not
-	// required to be powers of two, so BankOf/local fall back to real
-	// division when they are not.
-	bankPow2  bool
+	// bankShift is log2(banks): bank counts, like set counts, are powers
+	// of two, so the bank interleave is a mask and a shift.
 	bankShift uint8
 
 	// The protection pin fixes the lines of one block address for the
@@ -239,7 +237,10 @@ type LLC struct {
 
 // New constructs an LLC with the given total capacity split over banks.
 func New(capacityBytes, ways, banks int, mode Mode, repl Repl) (*LLC, error) {
-	if banks <= 0 || capacityBytes%banks != 0 {
+	if err := checkBanks(banks); err != nil {
+		return nil, err
+	}
+	if capacityBytes%banks != 0 {
 		return nil, fmt.Errorf("llc: capacity %d not divisible by %d banks", capacityBytes, banks)
 	}
 	geo, err := cache.GeometryFor(capacityBytes/banks, ways, coher.BlockBytes)
@@ -253,13 +254,16 @@ func New(capacityBytes, ways, banks int, mode Mode, repl Repl) (*LLC, error) {
 	return l, nil
 }
 
-func newLLC(banks int, mode Mode, repl Repl) *LLC {
-	l := &LLC{banks: banks, mode: mode, repl: repl}
-	if banks&(banks-1) == 0 {
-		l.bankPow2 = true
-		l.bankShift = uint8(bits.TrailingZeros64(uint64(banks)))
+// checkBanks refuses a bank count that is not a positive power of two.
+func checkBanks(banks int) error {
+	if banks <= 0 || banks&(banks-1) != 0 {
+		return fmt.Errorf("llc: bank count %d not a power of two", banks)
 	}
-	return l
+	return nil
+}
+
+func newLLC(banks int, mode Mode, repl Repl) *LLC {
+	return &LLC{banks: banks, mode: mode, repl: repl, bankShift: uint8(bits.TrailingZeros64(uint64(banks)))}
 }
 
 // NewGeometry constructs an LLC directly from per-bank sets and ways,
@@ -270,8 +274,11 @@ func NewGeometry(setsPerBank, ways, banks int, mode Mode, repl Repl) (*LLC, erro
 	if setsPerBank <= 0 || setsPerBank&(setsPerBank-1) != 0 {
 		return nil, fmt.Errorf("llc: set count %d not a power of two", setsPerBank)
 	}
-	if ways <= 0 || banks <= 0 {
+	if ways <= 0 {
 		return nil, fmt.Errorf("llc: non-positive geometry")
+	}
+	if err := checkBanks(banks); err != nil {
+		return nil, err
 	}
 	l := newLLC(banks, mode, repl)
 	for i := 0; i < banks; i++ {
@@ -303,17 +310,11 @@ func (l *LLC) Blocks() int { return l.banks * l.arrs[0].Geometry().Blocks() }
 
 // BankOf maps a block address to its home bank.
 func (l *LLC) BankOf(addr coher.Addr) int {
-	if l.bankPow2 {
-		return int(uint64(addr) & (uint64(l.banks) - 1))
-	}
-	return int(uint64(addr) % uint64(l.banks))
+	return int(uint64(addr) & (uint64(l.banks) - 1))
 }
 
 func (l *LLC) local(addr coher.Addr) uint64 {
-	if l.bankPow2 {
-		return uint64(addr) >> l.bankShift
-	}
-	return uint64(addr) / uint64(l.banks)
+	return uint64(addr) >> l.bankShift
 }
 
 func (l *LLC) global(bank int, localAddr uint64) coher.Addr {
@@ -573,6 +574,22 @@ func (l *LLC) DropDE(v View) {
 	}
 	l.take(l.Payload(v, v.DEWay))
 	l.arrs[v.Bank].Invalidate(v.Set, v.DEWay)
+}
+
+// Evict removes the line at way of v's set as replacement would and
+// describes it: a spilled line leaves alone, a fused line with its
+// block part, a data line alone. Dirty is the line's own dirty bit,
+// always clear on a spilled line. A removed entry's slab slot, if it
+// has one, is freed.
+func (l *LLC) Evict(v View, way int) Evicted {
+	arr := l.arrs[v.Bank]
+	p := arr.Payload(v.Set, way)
+	ev := Evicted{Addr: l.global(v.Bank, arr.AddrOf(v.Set, way)), Kind: p.Kind, Dirty: p.Dirty}
+	if p.Kind != KindData {
+		ev.Entry = l.take(p)
+	}
+	arr.Invalidate(v.Set, way)
+	return ev
 }
 
 // InvalidateData removes the data line of v (EPD deallocation on

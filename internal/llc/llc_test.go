@@ -3,6 +3,7 @@ package llc
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/coher"
@@ -181,6 +182,14 @@ func TestNewValidation(t *testing.T) {
 	if _, err := NewGeometry(3, 4, 1, NonInclusive, LRU); err == nil {
 		t.Fatal("non-power-of-two sets accepted")
 	}
+	for _, build := range []func() (*LLC, error){
+		func() (*LLC, error) { return New(96<<10, 16, 6, NonInclusive, LRU) },
+		func() (*LLC, error) { return NewGeometry(4, 4, 6, NonInclusive, LRU) },
+	} {
+		if _, err := build(); err == nil || !strings.Contains(err.Error(), "bank count 6 not a power of two") {
+			t.Fatalf("6 banks: err = %v, want the bank count refused by name", err)
+		}
+	}
 }
 
 // bare reports whether a line header can hold e: a bare owned entry,
@@ -252,6 +261,44 @@ func TestDELinesCounterTracksKindCensus(t *testing.T) {
 		checkDELines(t, l)
 		l.DropDE(l.Probe(29))
 		checkDELines(t, l)
+	}
+
+	// Evict removes one line as replacement would: a spilled line alone
+	// (its entry in the slab), a fused line with its block part (its
+	// entry in the header), a data line alone.
+	l = tiny(LRU)
+	l.InsertData(1, true)
+	l.InsertSpilled(1, shared(0, 1))
+	l.InsertData(2, true)
+	l.Fuse(l.Probe(2), owned(3))
+	checkDELines(t, l)
+	for _, tc := range []struct {
+		addr  coher.Addr
+		de    bool // evict the DE way, else the data way
+		want  Evicted
+		after bool // the block still has a data line
+	}{
+		{1, true, Evicted{Addr: 1, Kind: KindSpilled, Entry: shared(0, 1)}, true},
+		{2, true, Evicted{Addr: 2, Kind: KindFused, Dirty: true, Entry: owned(3)}, false},
+		{1, false, Evicted{Addr: 1, Kind: KindData, Dirty: true}, false},
+	} {
+		v := l.Probe(tc.addr)
+		way := v.DataWay
+		if tc.de {
+			way = v.DEWay
+		}
+		ev := l.Evict(v, way)
+		if ev.Addr != tc.want.Addr || ev.Kind != tc.want.Kind || ev.Dirty != tc.want.Dirty || !ev.Entry.Same(tc.want.Entry) {
+			t.Fatalf("Evict = {%#x %v dirty=%v %v}, want {%#x %v dirty=%v %v}", uint64(ev.Addr), ev.Kind, ev.Dirty, ev.Entry,
+				uint64(tc.want.Addr), tc.want.Kind, tc.want.Dirty, tc.want.Entry)
+		}
+		if v := l.Probe(tc.addr); v.HasDE() || v.HasData() != tc.after {
+			t.Fatalf("after evicting %v of %#x: %+v", ev.Kind, uint64(tc.addr), v)
+		}
+		checkDELines(t, l)
+	}
+	if d, s, f := l.CountKinds(); d+s+f != 0 || l.slab.live != 0 {
+		t.Fatalf("%d data, %d spilled, %d fused lines and %d slab entries left", d, s, f, l.slab.live)
 	}
 }
 
