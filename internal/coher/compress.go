@@ -43,12 +43,14 @@ func (f SharerFormat) String() string {
 // Compressed is a directory entry's holder set packed into a fixed bit
 // budget.
 type Compressed struct {
-	Format  SharerFormat
-	Budget  int // holder-representation bits
-	Cores   int
-	State   DirState
-	payload CoreSet // full map / coarse bits, reused as storage
-	ptrs    []CoreID
+	Format SharerFormat
+	Budget int // holder-representation bits
+	Cores  int
+	State  DirState
+	// payload is the holder set itself for the full-map and
+	// limited-pointer formats (pointers decode to exactly the cores they
+	// name), and one bit per group of cores for the coarse format.
+	payload CoreSet
 }
 
 // Compress packs entry e's holder set into budget bits for an N-core
@@ -77,15 +79,28 @@ func Compress(e Entry, cores, budget int) (Compressed, error) {
 	}
 	if p := budget / ptrBits; holders.Count() <= p {
 		c.Format = FormatLimitedPtr
-		c.ptrs = holders.Members()
+		c.payload = holders
 		return c, nil
 	}
 	c.Format = FormatCoarse
-	g := groupSize(cores, budget)
-	holders.ForEach(func(id CoreID) {
-		c.payload.Add(CoreID(int(id) / g))
-	})
+	c.payload = coarsen(holders, groupSize(cores, budget))
 	return c, nil
+}
+
+// coarsen maps a holder set to its coarse vector, bit i standing for
+// cores [i*g, (i+1)*g). The extension is allocated once, at its final
+// length.
+func coarsen(holders CoreSet, g int) CoreSet {
+	var s CoreSet
+	if holders.Empty() {
+		return s
+	}
+	s.sizeFor(int(holders.last()) / g)
+	holders.ForEach(func(id CoreID) {
+		grp := int(id) / g
+		s.setRange(grp, grp+1)
+	})
+	return s
 }
 
 // groupSize is the cores-per-bit granularity of the coarse vector.
@@ -104,28 +119,19 @@ func (c Compressed) Precise() bool { return c.Format != FormatCoarse }
 // coarse format the result is a superset of the original holders (the
 // over-approximation the protocol pays for with extra invalidations).
 func (c Compressed) Holders() CoreSet {
-	switch c.Format {
-	case FormatFullMap:
+	if c.Format != FormatCoarse || c.payload.Empty() {
 		return c.payload
-	case FormatLimitedPtr:
-		var s CoreSet
-		for _, p := range c.ptrs {
-			s.Add(p)
-		}
-		return s
-	default:
-		var s CoreSet
-		g := groupSize(c.Cores, c.Budget)
-		c.payload.ForEach(func(group CoreID) {
-			for i := 0; i < g; i++ {
-				core := int(group)*g + i
-				if core < c.Cores {
-					s.Add(CoreID(core))
-				}
-			}
-		})
-		return s
 	}
+	// Each group bit sets its cores word by word, the last group cut at
+	// c.Cores, into an extension allocated once at its final length.
+	var s CoreSet
+	g := groupSize(c.Cores, c.Budget)
+	s.sizeFor(min((int(c.payload.last())+1)*g, c.Cores) - 1)
+	c.payload.ForEach(func(group CoreID) {
+		lo := int(group) * g
+		s.setRange(lo, min(lo+g, c.Cores))
+	})
+	return s
 }
 
 // OverInvalidation returns how many extra cores would be invalidated if

@@ -107,3 +107,84 @@ func TestMaxSocketsCompressed(t *testing.T) {
 		t.Fatalf("bound formula: %d", comp)
 	}
 }
+
+// holdersByMember is the member-by-member decoding: the limited-pointer
+// format adds each pointer, and the coarse format adds every core of
+// every group bit one at a time.
+func holdersByMember(e Entry, cores, budget int) CoreSet {
+	holders := e.Holders()
+	ptrBits := max(ceilLog2(cores), 1)
+	if cores <= budget {
+		return holders
+	}
+	var s CoreSet
+	if holders.Count() <= budget/ptrBits {
+		for _, id := range holders.Members() {
+			s.Add(id)
+		}
+		return s
+	}
+	g := groupSize(cores, budget)
+	var groups CoreSet
+	holders.ForEach(func(id CoreID) { groups.Add(CoreID(int(id) / g)) })
+	groups.ForEach(func(group CoreID) {
+		for i := 0; i < g; i++ {
+			if c := int(group)*g + i; c < cores {
+				s.Add(CoreID(c))
+			}
+		}
+	})
+	return s
+}
+
+func canonical(s CoreSet) bool {
+	return (s.ext == nil || len(s.ext) > 0) && (len(s.ext) == 0 || s.ext[len(s.ext)-1] != 0)
+}
+
+func TestCompressedHoldersMatchMemberByMember(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, cores := range []int{8, 128, 256, 1024} {
+		ptrBits := max(ceilLog2(cores), 1)
+		// Budgets from one pointer up to the full map, including those
+		// whose group size is 3 (groups [63,66) and [126,129) straddle
+		// the word boundaries) and those that cut the last group short.
+		budgets := []int{ptrBits, ptrBits + 1, 2 * ptrBits, 21, 27, (cores + 2) / 3, cores / 7, 123, cores - 1, cores}
+		for _, budget := range budgets {
+			if budget < ptrBits {
+				continue
+			}
+			sets := [][]int{{0}, {cores - 1}, {63, 64}, {127, 128}, {62, 129}, {0, cores - 1}}
+			for k := 0; k < 40; k++ {
+				n := 1 + rng.Intn(cores)
+				if k%4 == 0 {
+					n = 1 + rng.Intn(8)
+				}
+				var ids []int
+				for i := 0; i < n; i++ {
+					ids = append(ids, rng.Intn(cores))
+				}
+				sets = append(sets, ids)
+			}
+			for _, ids := range sets {
+				e := Entry{State: DirShared}
+				for _, id := range ids {
+					if id < cores {
+						e.Sharers.Add(CoreID(id))
+					}
+				}
+				if e.Sharers.Empty() {
+					continue
+				}
+				c, err := Compress(e, cores, budget)
+				if err != nil {
+					t.Fatalf("Compress(%v, %d, %d): %v", e.Sharers, cores, budget, err)
+				}
+				got, want := c.Holders(), holdersByMember(e, cores, budget)
+				if !got.Equal(want) || !canonical(got) || !canonical(c.payload) {
+					t.Fatalf("%d cores, budget %d, %v (%v): holders %v (ext %d words), member by member %v",
+						cores, budget, e.Sharers, c.Format, got, len(got.ext), want)
+				}
+			}
+		}
+	}
+}

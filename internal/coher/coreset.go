@@ -134,6 +134,44 @@ func (s CoreSet) ForEach(fn func(CoreID)) {
 	}
 }
 
+// last returns the highest member of a non-empty set.
+func (s CoreSet) last() CoreID {
+	for ei := len(s.ext) - 1; ei >= 0; ei-- {
+		if w := s.ext[ei]; w != 0 {
+			return CoreID((inlineWords+ei)*64 + 63 - bits.LeadingZeros64(w))
+		}
+	}
+	if s.w[1] != 0 {
+		return CoreID(127 - bits.LeadingZeros64(s.w[1]))
+	}
+	return CoreID(63 - bits.LeadingZeros64(s.w[0]))
+}
+
+// sizeFor gives an empty set the extension words that hold core top,
+// so the set is canonical once top is added.
+func (s *CoreSet) sizeFor(top int) {
+	if n := top>>6 + 1 - inlineWords; n > 0 {
+		s.ext = make([]uint64, n)
+	}
+}
+
+// setRange inserts cores [lo, hi) a word at a time, into words that
+// already exist (see sizeFor). It writes ext in place, so it is only
+// for sets still under construction.
+func (s *CoreSet) setRange(lo, hi int) {
+	for lo < hi {
+		wi := lo >> 6
+		end := min(hi, (wi+1)<<6)
+		m := ^uint64(0) >> (64 - (end - lo)) << (lo & 63)
+		if wi < inlineWords {
+			s.w[wi] |= m
+		} else {
+			s.ext[wi-inlineWords] |= m
+		}
+		lo = end
+	}
+}
+
 // Members returns the members in ascending order.
 func (s CoreSet) Members() []CoreID {
 	out := make([]CoreID, 0, s.Count())

@@ -31,6 +31,11 @@ type Memory struct {
 	// must not change.
 	budget int
 	blocks map[coher.Addr]*BlockMeta
+	// spare holds up to spareMetas cleared BlockMetas that gc dropped,
+	// for meta to reuse: a block that leaves the map (a refilled
+	// DirEvict partition, a restored block) is usually followed by one
+	// that enters it, so the pair costs no allocation.
+	spare []*BlockMeta
 
 	highWater    int
 	coarseWrites uint64
@@ -121,10 +126,17 @@ func MustNew(sockets, coresPerSocket int) *Memory {
 // exact full-map format is in use.
 func (m *Memory) SegmentBudget() int { return m.budget }
 
+// spareMetas bounds the cleared BlockMetas a Memory keeps for reuse.
+const spareMetas = 16
+
 func (m *Memory) meta(addr coher.Addr) *BlockMeta {
 	b := m.blocks[addr]
 	if b == nil {
-		b = &BlockMeta{}
+		if n := len(m.spare); n > 0 {
+			b, m.spare = m.spare[n-1], m.spare[:n-1]
+		} else {
+			b = &BlockMeta{}
+		}
 		m.blocks[addr] = b
 		if len(m.blocks) > m.highWater {
 			m.highWater = len(m.blocks)
@@ -269,6 +281,10 @@ func (m *Memory) gc(addr coher.Addr, b *BlockMeta) {
 		}
 	}
 	delete(m.blocks, addr)
+	if len(m.spare) < spareMetas {
+		*b = BlockMeta{}
+		m.spare = append(m.spare, b)
+	}
 }
 
 // CorruptedCount returns the number of blocks currently corrupted, used
@@ -301,6 +317,16 @@ func (m *Memory) ForEachCorrupted(fn func(addr coher.Addr, b *BlockMeta)) {
 	for addr, b := range m.blocks {
 		if b.DataLost {
 			fn(addr, b)
+		}
+	}
+}
+
+// ForEachDirEvict visits every block whose socket-level partition holds
+// an evicted socket-level entry, for invariant checks.
+func (m *Memory) ForEachDirEvict(fn func(addr coher.Addr, e coher.SocketEntry)) {
+	for addr, b := range m.blocks {
+		if b.DirEvict {
+			fn(addr, coher.UnpackSocketEntry(b.SocketEntry))
 		}
 	}
 }

@@ -239,3 +239,61 @@ func TestForEachCorrupted(t *testing.T) {
 		t.Fatalf("corrupted count = %d, want 1", n)
 	}
 }
+
+func TestForEachDirEvict(t *testing.T) {
+	m := MustNew(4, 8)
+	want := map[coher.Addr]coher.SocketEntry{
+		0x10: {State: coher.SockOwned, Owner: 3},
+		0x20: {State: coher.SockShared, Sharers: 0b0101},
+	}
+	for a, e := range want {
+		m.SetDirEvict(a, e)
+	}
+	m.SetDirEvict(0x30, coher.SocketEntry{State: coher.SockOwned, Owner: 1})
+	m.ClearDirEvict(0x30)
+	_ = m.WriteSegment(0x40, 0, owned(1)) // corrupted, no partition
+	got := map[coher.Addr]coher.SocketEntry{}
+	m.ForEachDirEvict(func(a coher.Addr, e coher.SocketEntry) { got[a] = e })
+	if len(got) != len(want) || got[0x10] != want[0x10] || got[0x20] != want[0x20] {
+		t.Fatalf("ForEachDirEvict visited %+v, want %+v", got, want)
+	}
+}
+
+func TestRetiredMetadataReusedClean(t *testing.T) {
+	// A block whose metadata gc dropped hands its BlockMeta to the next
+	// block that gains metadata; nothing of the old block may show
+	// through, and the pair allocates nothing.
+	m := MustNew(2, 8)
+	m.SetDirEvict(0x10, coher.SocketEntry{State: coher.SockOwned, Owner: 1})
+	_ = m.WriteSegment(0x20, 1, owned(3))
+	m.Restore(0x20)
+	m.ClearDirEvict(0x10)
+	m.SetDirEvict(0x30, coher.SocketEntry{State: coher.SockOwned, Owner: 0})
+	if err := m.WriteSegment(0x40, 0, owned(2)); err != nil {
+		t.Fatal(err)
+	}
+	if m.Corrupted(0x30) || !m.Corrupted(0x40) {
+		t.Fatal("reused metadata carried the data-lost flag across blocks")
+	}
+	if _, ok := m.ReadSegment(0x40, 1); ok {
+		t.Fatal("reused metadata carried a segment across blocks")
+	}
+	if _, ok := m.DirEvict(0x40); ok {
+		t.Fatal("reused metadata carried a DirEvict partition across blocks")
+	}
+	fresh := MustNew(2, 8)
+	fresh.SetDirEvict(0x30, coher.SocketEntry{State: coher.SockOwned, Owner: 0})
+	_ = fresh.WriteSegment(0x40, 0, owned(2))
+	if got, want := m.AppendState(nil), fresh.AppendState(nil); string(got) != string(want) {
+		t.Fatal("state with reused metadata differs from the same state built fresh")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		m.ClearDirEvict(0x30)
+		m.SetDirEvict(0x50, coher.SocketEntry{State: coher.SockOwned, Owner: 1})
+		m.ClearDirEvict(0x50)
+		m.SetDirEvict(0x30, coher.SocketEntry{State: coher.SockOwned, Owner: 0})
+	})
+	if allocs != 0 {
+		t.Fatalf("moving a DirEvict partition between blocks allocates %v times", allocs)
+	}
+}

@@ -1,6 +1,7 @@
 package socket
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 
 // newBareSystem builds a system without running it, for directory-cache
 // unit tests.
-func newBareSystem(t *testing.T, backing Backing, dirEntries int) *System {
+func newBareSystem(t testing.TB, backing Backing, dirEntries int) *System {
 	t.Helper()
 	pre := config.TableI(32)
 	spec := pre.ZeroDEV(0, core.FPSS, llc.DataLRU, llc.NonInclusive)
@@ -126,9 +127,11 @@ func TestNewValidatesGeometry(t *testing.T) {
 
 func TestCheckSocketDirectoryIsDeterministic(t *testing.T) {
 	// Two backup entries name a socket that holds nothing: the check must
-	// report the lower address every time, not whichever the map yields.
+	// report the lower address every time, not whichever the walk meets
+	// first.
 	sys := newBareSystem(t, MemoryBackup, 8)
-	sys.backup = map[coher.Addr]uint64{0x40: sockOwned(1).Pack(), 0x80: sockOwned(0).Pack()}
+	sys.backup.put(0x80, sockOwned(0).Pack())
+	sys.backup.put(0x40, sockOwned(1).Pack())
 	first := sys.CheckSocketDirectory()
 	if first == nil || !strings.Contains(first.Error(), "0x40") {
 		t.Fatalf("first violation = %v, want the one at 0x40", first)
@@ -137,5 +140,70 @@ func TestCheckSocketDirectoryIsDeterministic(t *testing.T) {
 		if err := sys.CheckSocketDirectory(); err == nil || err.Error() != first.Error() {
 			t.Fatalf("call %d: %v, want %v", i, err, first)
 		}
+	}
+}
+
+func TestCheckSocketDirectoryReportsPlantedState(t *testing.T) {
+	// Each case plants one violation into a bare two-socket system; the
+	// check must name its address and its kind.
+	holds := func(sys *System, s int, addr coher.Addr) {
+		sys.Sockets[s].Engine.LLC().InsertData(addr, false)
+	}
+	oneSharer := coher.SocketEntry{State: coher.SockShared}
+	oneSharer.Sharers.Add(1)
+	for _, tc := range []struct {
+		name    string
+		backing Backing
+		plant   func(sys *System)
+		addr    coher.Addr
+		want    string // "" when the planted state is consistent
+	}{
+		{"consistent", MemoryBackup, func(sys *System) {
+			holds(sys, 1, 0x40)
+			sys.storeSocketEntry(0, 0x40, sockOwned(1))
+		}, 0x40, ""},
+		{"an LLC holds a block its entry omits", MemoryBackup, func(sys *System) {
+			holds(sys, 1, 0x40)
+			sys.storeSocketEntry(0, 0x40, sockOwned(1))
+			holds(sys, 0, 0x40)
+		}, 0x40, "socket 0 holds 0x40 but the socket dir entry"},
+		{"an LLC holds a block with no entry", DirEvictBit, func(sys *System) {
+			holds(sys, 1, 0x40)
+		}, 0x40, "has no entry"},
+		{"a Shared entry has one sharer", MemoryBackup, func(sys *System) {
+			holds(sys, 1, 0x80)
+			sys.storeSocketEntry(0, 0x80, oneSharer)
+		}, 0x80, "Shared with 1 sharer"},
+		{"a DirEvict partition names a socket holding nothing", DirEvictBit, func(sys *System) {
+			sys.mem.SetDirEvict(0xc0, sockOwned(1))
+		}, 0xc0, "but it holds nothing"},
+		{"an entry is cached and in the backup", MemoryBackup, func(sys *System) {
+			holds(sys, 1, 0x100)
+			sys.storeSocketEntry(0, 0x100, sockOwned(1))
+			sys.backup.put(0x100, sockOwned(1).Pack())
+		}, 0x100, "both cached and in its backing store"},
+		{"an entry is cached and in a DirEvict partition", DirEvictBit, func(sys *System) {
+			holds(sys, 1, 0x100)
+			sys.storeSocketEntry(0, 0x100, sockOwned(1))
+			sys.mem.SetDirEvict(0x100, sockOwned(1))
+		}, 0x100, "both cached and in its backing store"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := newBareSystem(t, tc.backing, 8)
+			if err := sys.CheckSocketDirectory(); err != nil {
+				t.Fatalf("empty system: %v", err)
+			}
+			tc.plant(sys)
+			err := sys.CheckSocketDirectory()
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("consistent state reported: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%#x", uint64(tc.addr))) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("check = %v, want a %q violation at %#x", err, tc.want, uint64(tc.addr))
+			}
+		})
 	}
 }

@@ -61,8 +61,9 @@ func (sys *System) lookupSocketEntry(t sim.Cycle, addr coher.Addr) (coher.Socket
 		// costs one DRAM read, issued in parallel with the demand path
 		// (home memory is looked up anyway on the flows that miss here),
 		// so it contributes bank occupancy and traffic but only a small
-		// serialization charge.
-		w := sys.backup[addr]
+		// serialization charge. The word moves into the cache, which
+		// holds it from now on; an absent word is the invalid entry.
+		w, _ := sys.backup.take(addr)
 		sys.dram.Read(t, uint64(addr), dram.KindData)
 		sys.fillDirCache(t, addr, w)
 		return coher.UnpackSocketEntry(w), t + 4
@@ -79,33 +80,45 @@ func (sys *System) lookupSocketEntry(t sim.Cycle, addr coher.Addr) (coher.Socket
 }
 
 func (sys *System) storeSocketEntry(t sim.Cycle, addr coher.Addr, e coher.SocketEntry) {
-	w := e.Pack()
-	if sys.P.Backing == MemoryBackup {
-		if sys.backup == nil {
-			sys.backup = make(map[coher.Addr]uint64)
-		}
-		if e.Live() {
-			sys.backup[addr] = w
-		} else {
-			delete(sys.backup, addr)
-		}
-	}
 	set, way, ok := sys.dirCache.Lookup(uint64(addr))
 	if !e.Live() {
 		if ok {
 			sys.dirCache.Invalidate(set, way)
-		}
-		if sys.P.Backing == DirEvictBit {
-			sys.mem.ClearDirEvict(addr)
+		} else {
+			sys.takeBacked(addr)
 		}
 		return
 	}
 	if ok {
-		*sys.dirCache.Payload(set, way) = w
+		*sys.dirCache.Payload(set, way) = e.Pack()
 		sys.dirCache.Touch(set, way)
 		return
 	}
-	sys.fillDirCache(t, addr, w)
+	// The entry this transaction looked up may have been evicted since
+	// (a forward or invalidation in between fills the cache); the cached
+	// copy replaces it.
+	sys.takeBacked(addr)
+	sys.fillDirCache(t, addr, e.Pack())
+}
+
+// takeBacked removes addr's entry from the backing store, if it is
+// there: the backup table, or the block's DirEvict partition.
+func (sys *System) takeBacked(addr coher.Addr) {
+	if sys.P.Backing == MemoryBackup {
+		sys.backup.take(addr)
+		return
+	}
+	sys.mem.ClearDirEvict(addr)
+}
+
+// backedEntry reads addr's entry from the backing store: the backup
+// table, or the block's DirEvict partition.
+func (sys *System) backedEntry(addr coher.Addr) (coher.SocketEntry, bool) {
+	if sys.P.Backing == MemoryBackup {
+		w, ok := sys.backup.get(addr)
+		return coher.UnpackSocketEntry(w), ok
+	}
+	return sys.mem.DirEvict(addr)
 }
 
 // fillDirCache inserts a packed entry, handling the eviction per the
@@ -122,16 +135,23 @@ func (sys *System) fillDirCache(t sim.Cycle, addr coher.Addr, w uint64) {
 			vw = sys.dirCache.Victim(set)
 		}
 		way = vw
-		victim := coher.UnpackSocketEntry(*sys.dirCache.Payload(set, way))
+		word := *sys.dirCache.Payload(set, way)
 		vAddr := coher.Addr(sys.dirCache.AddrOf(set, way))
-		if sys.P.Backing == DirEvictBit && victim.Live() {
-			// The evicted socket-level entry is housed in the memory
-			// block's reserved partition; one DirEvict bit records it.
-			sys.mem.SetDirEvict(vAddr, victim)
-			sys.dram.Write(t, uint64(vAddr), dram.KindData)
+		// A dead victim (the invalid word a MemoryBackup miss on an
+		// untracked block caches) is dropped; a live one moves to the
+		// backing store.
+		if victim := coher.UnpackSocketEntry(word); victim.Live() {
+			if sys.P.Backing == MemoryBackup {
+				// The modelled backup region already holds the entry, so
+				// the eviction is silent.
+				sys.backup.put(vAddr, word)
+			} else {
+				// The evicted socket-level entry is housed in the memory
+				// block's reserved partition; one DirEvict bit records it.
+				sys.mem.SetDirEvict(vAddr, victim)
+				sys.dram.Write(t, uint64(vAddr), dram.KindData)
+			}
 		}
-		// MemoryBackup: the backup already holds it; the eviction is
-		// silent.
 		sys.dirCache.Invalidate(set, way)
 	}
 	sys.dirCache.Insert(set, way, uint64(addr), w)
@@ -372,13 +392,8 @@ func (sys *System) peekSocketEntry(addr coher.Addr) coher.SocketEntry {
 	if set, way, ok := sys.dirCache.Lookup(uint64(addr)); ok {
 		return coher.UnpackSocketEntry(*sys.dirCache.Payload(set, way))
 	}
-	if sys.P.Backing == MemoryBackup {
-		return coher.UnpackSocketEntry(sys.backup[addr])
-	}
-	if e, ok := sys.mem.DirEvict(addr); ok {
-		return e
-	}
-	return coher.SocketEntry{}
+	e, _ := sys.backedEntry(addr)
+	return e
 }
 
 // AcquireExclusive implements core.Home: invalidate every other

@@ -5,12 +5,18 @@
 // flows of Figs. 14-16, and the two socket-directory backing schemes of
 // §III-D5 (full backup in home memory, or the constant-overhead
 // DirEvict-bit scheme).
+//
+// The host keeps each live socket-level entry in exactly one place: the
+// directory cache or its scheme's backing store. Under MemoryBackup the
+// modelled home-memory region still holds every entry, but the host's
+// backup table holds only the entries the cache lacks: the cached copy
+// is authoritative, and a backup write was never charged, so the
+// region's copy of a cached entry is never observed.
 package socket
 
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/cache"
@@ -31,6 +37,8 @@ type Backing uint8
 const (
 	// MemoryBackup keeps a full copy of every socket-level entry in home
 	// memory (solution 1: simple, 1.2% DRAM overhead at four sockets).
+	// The host stores only the copies of entries the directory cache
+	// does not hold (see the package doc).
 	MemoryBackup Backing = iota
 	// DirEvictBit stores an evicted socket-level entry in the memory
 	// block's reserved partition and records it with one DirEvict bit
@@ -124,10 +132,11 @@ type System struct {
 	// dirCache and backup hold socket-level entries packed into one word
 	// each (coher.SocketEntry.Pack).
 	dirCache *cache.Array[uint64]
-	// backup is the authoritative full-map socket-directory backup used
-	// by the MemoryBackup scheme (the reserved home-memory region of
-	// §III-D5, solution 1).
-	backup map[coher.Addr]uint64
+	// backup is the MemoryBackup scheme's reserved home-memory region
+	// (§III-D5, solution 1). The region holds every live entry; the
+	// table holds those the directory cache does not, so each live entry
+	// has one host copy.
+	backup entryTable
 	stats  Stats
 }
 
@@ -226,54 +235,113 @@ func (sys *System) CheckInvariants() error {
 }
 
 // CheckSocketDirectory cross-validates the socket-level directory
-// against per-socket ground truth. It requires the MemoryBackup scheme
-// (whose backup map enumerates all live entries); under DirEvictBit it
-// checks only the cached entries. Entries are checked in ascending
-// address order, so the first violation reported is always the same.
+// against per-socket ground truth, walking the directory cache and the
+// backing store under either scheme:
+//
+//   - no address is held both in the cache and in the backing store,
+//     and the backing store holds only live entries;
+//   - a Shared entry has at least two sharers;
+//   - every socket an entry records holds the block (in its cores, its
+//     LLC, or a home-memory segment);
+//   - every socket that holds a block (an LLC data line or housed
+//     entry, an L2 block of one of its cores, or a live home-memory
+//     segment) is among the holders of the block's entry.
+//
+// Of all violations it reports the one at the lowest address (at one
+// address, an entry's own violation before an unrecorded holder, and
+// the lowest such socket first), so the error does not depend on walk
+// order. The walk allocates nothing per block.
 func (sys *System) CheckSocketDirectory() error {
-	check := func(addr coher.Addr, e coher.SocketEntry) error {
-		var err error
-		e.Holders().ForEach(func(g int) {
-			if err != nil {
-				return
-			}
-			if sys.Sockets[g].Engine.HasAnyCopy(addr) {
-				return
-			}
-			if _, live := sys.mem.ReadSegment(addr, g); live {
-				return
-			}
-			err = fmt.Errorf("socket dir records socket %d holding %#x (%+v) but it holds nothing",
-				g, uint64(addr), e)
-		})
-		return err
-	}
-	if sys.P.Backing == MemoryBackup {
-		for _, addr := range sys.backupAddrs() {
-			if err := check(addr, coher.UnpackSocketEntry(sys.backup[addr])); err != nil {
-				return err
-			}
+	var (
+		first   error
+		firstAt coher.Addr
+		rank    int
+	)
+	report := func(addr coher.Addr, r int, err error) {
+		if err != nil && (first == nil || addr < firstAt || addr == firstAt && r < rank) {
+			first, firstAt, rank = err, addr, r
 		}
-		return nil
+	}
+	sys.dirCache.ForEachValid(func(_, _ int, a uint64, w *uint64) {
+		addr := coher.Addr(a)
+		if _, ok := sys.backedEntry(addr); ok {
+			report(addr, 0, fmt.Errorf("socket dir holds %#x both cached and in its backing store", a))
+		}
+		report(addr, 0, sys.checkSocketEntry(addr, coher.UnpackSocketEntry(*w)))
+	})
+	sys.forEachBacked(func(addr coher.Addr, e coher.SocketEntry) {
+		if sys.dirCache.Contains(uint64(addr)) {
+			return // reported by the cache walk
+		}
+		if !e.Live() {
+			report(addr, 0, fmt.Errorf("socket dir backing store holds a dead entry for %#x", uint64(addr)))
+		}
+		report(addr, 0, sys.checkSocketEntry(addr, e))
+	})
+	sys.forEachHeld(func(g int, addr coher.Addr) {
+		if first != nil && addr > firstAt {
+			return // cannot be the lowest violation
+		}
+		e := sys.peekSocketEntry(addr)
+		switch {
+		case !e.Live():
+			report(addr, 1+g, fmt.Errorf("socket %d holds %#x but the socket dir has no entry for it", g, uint64(addr)))
+		case !e.Holders().Contains(g):
+			report(addr, 1+g, fmt.Errorf("socket %d holds %#x but the socket dir entry (%+v) omits it", g, uint64(addr), e))
+		}
+	})
+	return first
+}
+
+// checkSocketEntry checks one socket-level entry's shape and that every
+// socket it records holds the block.
+func (sys *System) checkSocketEntry(addr coher.Addr, e coher.SocketEntry) error {
+	if e.State == coher.SockShared && e.Sharers.Count() < 2 {
+		return fmt.Errorf("socket dir entry for %#x (%+v) is Shared with %d sharer(s)",
+			uint64(addr), e, e.Sharers.Count())
 	}
 	var err error
-	sys.dirCache.ForEachValid(func(_, _ int, a uint64, w *uint64) {
-		if err == nil {
-			err = check(coher.Addr(a), coher.UnpackSocketEntry(*w))
+	e.Holders().ForEach(func(g int) {
+		if err != nil || sys.Sockets[g].Engine.HasAnyCopy(addr) {
+			return
 		}
+		if _, live := sys.mem.ReadSegment(addr, g); live {
+			return
+		}
+		err = fmt.Errorf("socket dir records socket %d holding %#x (%+v) but it holds nothing",
+			g, uint64(addr), e)
 	})
 	return err
 }
 
-// backupAddrs returns the MemoryBackup map's addresses in ascending
-// order, so walks over it do not depend on map iteration order.
-func (sys *System) backupAddrs() []coher.Addr {
-	addrs := make([]coher.Addr, 0, len(sys.backup))
-	for a := range sys.backup {
-		addrs = append(addrs, a)
+// forEachHeld visits every block some socket holds, once per place it
+// holds it: an LLC data line or housed entry, an L2 block of one of its
+// cores, or a live home-memory segment.
+func (sys *System) forEachHeld(fn func(socket int, addr coher.Addr)) {
+	for g, s := range sys.Sockets {
+		l := s.Engine.LLC()
+		l.ForEachData(func(addr coher.Addr, _ bool) { fn(g, addr) })
+		l.ForEachDE(func(addr coher.Addr, _ bool, _ coher.Entry) { fn(g, addr) })
+		for _, c := range s.Cores {
+			c.ForEachBlock(func(addr coher.Addr, _ coher.PrivState) { fn(g, addr) })
+		}
 	}
-	slices.Sort(addrs)
-	return addrs
+	sys.mem.ForEachCorrupted(func(addr coher.Addr, b *mem.BlockMeta) {
+		for g, e := range b.Segments {
+			if e.Live() {
+				fn(g, addr)
+			}
+		}
+	})
+}
+
+// forEachBacked visits every entry in the backing store.
+func (sys *System) forEachBacked(fn func(addr coher.Addr, e coher.SocketEntry)) {
+	if sys.P.Backing == MemoryBackup {
+		sys.backup.forEach(func(addr coher.Addr, w uint64) { fn(addr, coher.UnpackSocketEntry(w)) })
+		return
+	}
+	sys.mem.ForEachDirEvict(fn)
 }
 
 func buildLLC(spec core.SystemSpec) (*llc.LLC, error) {
