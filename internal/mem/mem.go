@@ -171,10 +171,11 @@ func (m *Memory) CorruptedSockets(addr coher.Addr) coher.SocketSet {
 
 // WriteSegment stores the evicted directory entry of the given socket in
 // the block (the WB_DE flow). The entry must be live and stable. Wide
-// sockets store the entry through the compressed hybrid format: owned
-// entries and small sharer sets stay precise, larger sets coarsen to a
-// superset marked Imprecise that readers reconcile against actual core
-// state.
+// sockets store a sharer set through the compressed hybrid format: small
+// sets stay precise, larger sets coarsen to a superset marked Imprecise
+// that readers reconcile against actual core state. An owned entry has
+// one holder, which always fits the limited-pointer format (New checked
+// that the budget holds a pointer), so it is stored as it is.
 func (m *Memory) WriteSegment(addr coher.Addr, socket int, e coher.Entry) error {
 	if !e.Live() {
 		return fmt.Errorf("mem: writing a dead directory entry to %#x", uint64(addr))
@@ -185,14 +186,12 @@ func (m *Memory) WriteSegment(addr coher.Addr, socket int, e coher.Entry) error 
 	if socket < 0 || socket >= m.sockets {
 		return fmt.Errorf("mem: socket %d out of range", socket)
 	}
-	if m.budget > 0 {
+	if m.budget > 0 && e.State == coher.DirShared {
 		c, err := coher.Compress(e, m.coresPerSocket, m.budget)
 		if err != nil {
 			return fmt.Errorf("mem: segment for %#x: %w", uint64(addr), err)
 		}
 		if !c.Precise() {
-			// Coarse only ever triggers on sharer sets: an owned entry has
-			// one holder, which always fits the limited-pointer format.
 			e.Sharers = c.Holders()
 			e.Imprecise = true
 			m.coarseWrites++

@@ -211,6 +211,37 @@ func TestCompressedSegmentsImprecise(t *testing.T) {
 	}
 }
 
+// TestWideOwnedSegmentAllocatesNothing: rewriting a wide block's
+// segment with an entry owned by a core at or above 128, whose holder
+// set would need a CoreSet extension, allocates nothing and stores the
+// entry unchanged.
+func TestWideOwnedSegmentAllocatesNothing(t *testing.T) {
+	m := MustNew(4, 256)
+	if m.SegmentBudget() == 0 {
+		t.Fatal("4 x 256 uses full-map segments")
+	}
+	addr := coher.Addr(0x300)
+	for _, c := range []coher.CoreID{128, 200, 255} {
+		e := owned(c)
+		if err := m.WriteSegment(addr, 2, e); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if err := m.WriteSegment(addr, 2, e); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("rewriting a segment owned by core %d allocates %v times", c, n)
+		}
+		if got, ok := m.ReadSegment(addr, 2); !ok || !got.Same(e) || got.Imprecise {
+			t.Fatalf("segment owned by core %d = %+v ok=%v, want %+v", c, got, ok, e)
+		}
+	}
+	if m.CoarseSegmentWrites() != 0 {
+		t.Fatal("owned writes counted as coarse")
+	}
+}
+
 func TestMetaHighWaterAndRetire(t *testing.T) {
 	m := MustNew(2, 8)
 	for i := 0; i < 10; i++ {

@@ -97,22 +97,55 @@ type gen struct {
 	// blocks of all threads alias onto the same directory and LLC sets,
 	// which real address-space layouts do not do.
 	codeRot, sharedRot, privRot int
-	migSet                      int // migratory hot-set size
 	seqPtr                      int // streaming walk pointer
 
-	// Zipf samplers for the four fixed (n, skew) pairs this thread draws
-	// from; precomputing them hoists the per-draw transcendentals out of
-	// the access loop without changing the streams (sim.ZipfGen is
-	// bit-identical to sim.RNG.Zipf).
+	// Zipf samplers for the four fixed shapes this thread draws from
+	// (see shapes).
 	zCode, zShared, zMig, zPriv sim.ZipfGen
 
 	queued    cpu.Access
 	hasQueued bool
 }
 
+// Shape is the (n, skew) pair of one Zipf sampler: it draws block
+// indices in [0, N) with skew Skew.
+type Shape struct {
+	N    int
+	Skew float64
+}
+
+// shapes returns the samplers a thread of p draws from at scale: the
+// code, shared and private regions, and the migratory hot set, the
+// first sharedN/32 blocks of the shared region (8 at least).
+func shapes(p Profile, scale int) (code, shared, mig, priv Shape) {
+	code = Shape{scaleDown(p.CodeBlocks, scale), p.CodeSkew}
+	shared = Shape{scaleDown(p.SharedBlocks, scale), p.SharedSkew}
+	priv = Shape{scaleDown(p.PrivateBlocks, scale), p.PrivateSkew}
+	mig = Shape{min(max(shared.N/32, 8), shared.N), 0.5}
+	return code, shared, mig, priv
+}
+
+// Shapes returns every distinct shape the catalog's streams draw from at
+// scale, in catalog order.
+func Shapes(scale int) []Shape {
+	seen := map[Shape]bool{}
+	var out []Shape
+	for _, p := range All() {
+		code, shared, mig, priv := shapes(p, scale)
+		for _, sh := range []Shape{code, shared, mig, priv} {
+			if !seen[sh] {
+				seen[sh] = true
+				out = append(out, sh)
+			}
+		}
+	}
+	return out
+}
+
 // newGen builds the generator for thread `thread` of process `proc`.
 func newGen(p Profile, proc, thread, accesses, scale int, rng *sim.RNG) *gen {
 	base := coher.Addr((proc + 1) * processStride)
+	code, shared, mig, priv := shapes(p, scale)
 	g := &gen{
 		p:       p,
 		rng:     rng,
@@ -120,9 +153,13 @@ func newGen(p Profile, proc, thread, accesses, scale int, rng *sim.RNG) *gen {
 		codeB:   base + codeOffset,
 		sharedB: base + sharedOffset,
 		privB:   base + privateOffset + coher.Addr(thread*threadStride),
-		codeN:   scaleDown(p.CodeBlocks, scale),
-		sharedN: scaleDown(p.SharedBlocks, scale),
-		privN:   scaleDown(p.PrivateBlocks, scale),
+		codeN:   code.N,
+		sharedN: shared.N,
+		privN:   priv.N,
+		zCode:   sim.NewZipfGen(code.N, code.Skew),
+		zShared: sim.NewZipfGen(shared.N, shared.Skew),
+		zMig:    sim.NewZipfGen(mig.N, mig.Skew),
+		zPriv:   sim.NewZipfGen(priv.N, priv.Skew),
 	}
 	// Region rotations must agree between threads of one process for the
 	// regions they share, so they derive from (profile, process) alone.
@@ -130,17 +167,6 @@ func newGen(p Profile, proc, thread, accesses, scale int, rng *sim.RNG) *gen {
 	g.codeRot = int(procH % uint64(g.codeN))
 	g.sharedRot = int((procH >> 20) % uint64(g.sharedN))
 	g.privRot = int(sim.NewRNG(procH^uint64(thread+1)).Uint64() % uint64(g.privN))
-	g.migSet = g.sharedN / 32
-	if g.migSet < 8 {
-		g.migSet = 8
-	}
-	if g.migSet > g.sharedN {
-		g.migSet = g.sharedN
-	}
-	g.zCode = sim.NewZipfGen(g.codeN, p.CodeSkew)
-	g.zShared = sim.NewZipfGen(g.sharedN, p.SharedSkew)
-	g.zMig = sim.NewZipfGen(g.migSet, 0.5)
-	g.zPriv = sim.NewZipfGen(g.privN, p.PrivateSkew)
 	return g
 }
 
@@ -161,7 +187,9 @@ func (g *gen) Next() (cpu.Access, bool) {
 		a.Kind = cpu.Ifetch
 		a.Addr = g.codeB + g.rot(g.zCode.Draw(g.rng), g.codeRot, g.codeN)
 	case g.rng.Bool(g.p.SharedFrac):
-		a.Addr = g.sharedB + g.rot(g.zShared.Draw(g.rng), g.sharedRot, g.sharedN)
+		// The stream takes the shared draw before the migratory coin;
+		// only an access that keeps it maps it to an index.
+		bits := g.zShared.Bits(g.rng)
 		if g.rng.Bool(g.p.Migratory) {
 			// Migratory read-modify-write on a hot block: queue the store
 			// so ownership bounces between the threads touching it.
@@ -169,15 +197,20 @@ func (g *gen) Next() (cpu.Access, bool) {
 			a.Kind = cpu.Load
 			g.queued = cpu.Access{Gap: uint32(g.rng.Intn(g.p.GapMean + 1)), Kind: cpu.Store, Addr: a.Addr}
 			g.hasQueued = true
-		} else if g.rng.Bool(g.p.SharedWriteFrac) {
-			a.Kind = cpu.Store
 		} else {
-			a.Kind = cpu.Load
+			a.Addr = g.sharedB + g.rot(g.zShared.Index(bits), g.sharedRot, g.sharedN)
+			if g.rng.Bool(g.p.SharedWriteFrac) {
+				a.Kind = cpu.Store
+			} else {
+				a.Kind = cpu.Load
+			}
 		}
 	default:
 		if g.rng.Bool(g.p.Streaming) {
 			a.Addr = g.privB + g.rot(g.seqPtr, g.privRot, g.privN)
-			g.seqPtr = (g.seqPtr + 1) % g.privN
+			if g.seqPtr++; g.seqPtr == g.privN {
+				g.seqPtr = 0
+			}
 		} else {
 			a.Addr = g.privB + g.rot(g.zPriv.Draw(g.rng), g.privRot, g.privN)
 		}
@@ -190,10 +223,13 @@ func (g *gen) Next() (cpu.Access, bool) {
 	return a, true
 }
 
-// rot maps a region-relative Zipf index to a block offset, applying the
-// region rotation.
+// rot maps a region-relative index to a block offset, applying the
+// region rotation. Both idx and rotation are below n.
 func (g *gen) rot(idx, rotation, n int) coher.Addr {
-	return coher.Addr((idx + rotation) % n)
+	if idx += rotation; idx >= n {
+		idx -= n
+	}
+	return coher.Addr(idx)
 }
 
 // Threads builds the per-core streams for a multithreaded run of p on n

@@ -202,3 +202,21 @@ func TestMigratoryQueuesStores(t *testing.T) {
 		t.Fatal("migratory read-modify-write pairs missing")
 	}
 }
+
+var sinkAccess cpu.Access
+
+// BenchmarkNext times one generated access of a thread's stream at
+// scale 8: freqmine (migratory sharing), canneal (mostly private) and
+// TPC-H (server shared region, streaming private walks).
+func BenchmarkNext(b *testing.B) {
+	for _, name := range []string{"freqmine", "canneal", "TPC-H"} {
+		b.Run(name, func(b *testing.B) {
+			s := Threads(MustGet(name), 1, b.N, 8, 1)[0]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkAccess, _ = s.Next()
+			}
+		})
+	}
+}
